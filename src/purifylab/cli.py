@@ -123,13 +123,13 @@ def _add_common(p: argparse.ArgumentParser, *, de_help="environment dimension"):
     p.add_argument("--config", type=str, default=None, help="key=value defaults file")
 
 
-def _common_values(args):
+def _common_values(args, *, n_default: int = 2000):
     cfg = _load_config_file(args.config) if args.config else {}
     vals = {
         "di": _resolve(args, "di", cfg, int, 2),
         "do": _resolve(args, "do", cfg, int, 2),
         "de": _resolve(args, "de", cfg, str, "1"),
-        "n": _resolve(args, "n", cfg, int, 2000),
+        "n": _resolve(args, "n", cfg, int, n_default),
         "workers": _resolve(args, "workers", cfg, int, 1),
         "format": _resolve(args, "format", cfg, str, "csv"),
         "seed": _resolve_seed(args, cfg),
@@ -303,6 +303,7 @@ def cmd_spectrum(args) -> int:
     header = ["bin_center", "count", "empirical_density", "mp_density", "atom_weight"]
     comments = _comments("spectrum", vals, {"draws": draws, "bins": bins,
                                             "c": f"{c_ratio:.12g}", "ks": f"{ks:.6g}"})
+    del comments["n"]  # the histogram pools --draws channels, not n samples
     _write_table(vals["out"], comments, header, rows, vals["format"])
     if args.plot:
         target = (vals["out"] or "spectrum") + ".svg"
@@ -323,20 +324,19 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_tomo_scaling(args) -> int:
-    vals = _common_values(args)
+    vals = _common_values(args, n_default=200)
     if not args.k:
         raise PurifyLabError("tomo-scaling needs --k k1,k2,...")
     ks = [int(x) for x in args.k.split(",") if x]
     if len(ks) < 3 or max(ks) < 16 * min(ks):
         raise PurifyLabError("need >= 3 copy budgets spanning a >= 16x range")
-    n = vals["n"] if args.n is not None else 200
     d_e = _parse_de_range(vals["de"])[0]
     spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
     rows = []
     means = []
     for k in ks:
         strat = parse_strategy(f"tomo:k={k}", spec)
-        rep = estimate_average_error(strat, spec, n, workers=vals["workers"])
+        rep = estimate_average_error(strat, spec, vals["n"], workers=vals["workers"])
         rows.append([k, rep.mean, rep.stderr])
         means.append(rep.mean)
     slope = float(np.polyfit(np.log(ks), np.log(means), 1)[0])

@@ -146,6 +146,27 @@ def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.nda
     return g @ inv_root
 
 
+def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
+    """Purification matrices (batch, d_i*d_o, d_e) for sample indices [lo, hi)."""
+    d_i, d_o, d_e = spec.dims
+    big = d_o * d_e
+    count = hi - lo
+    gs = np.empty((count, big, d_i), dtype=complex)
+    for j, i in enumerate(range(lo, hi)):
+        gs[j] = sample_ginibre(big, d_i, spec.stream(i, purpose))
+    h = np.einsum("bji,bjk->bik", gs.conj(), gs)
+    vals, vecs = np.linalg.eigh(h)
+    inv_root = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs.conj())
+    visos = gs @ inv_root
+    return visos.transpose(0, 2, 1).reshape(count, d_i * d_o, d_e)
+
+
+def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
+    """Choi matrices (batch, d_i*d_o, d_i*d_o) for sample indices [lo, hi)."""
+    vm = _vmat_bank(spec, lo, hi, purpose)
+    return vm @ vm.conj().transpose(0, 2, 1)
+
+
 def choi_vector_from_isometry(v_iso: np.ndarray) -> np.ndarray:
     """Choi vector sum_i |i> x V|i> of an isometry, flattened in (I, OE) order."""
     return np.ascontiguousarray(v_iso.T).reshape(-1)

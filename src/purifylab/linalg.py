@@ -16,9 +16,9 @@ import numpy as np
 from .errors import DomainError, InvalidDims, NotHermitian, NotNormalized, NotPSD
 
 __all__ = [
-    "kron",
     "partial_trace",
     "herm_eig",
+    "floor_eigenvalues",
     "psd_sqrt",
     "trace_norm",
     "fidelity",
@@ -48,11 +48,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a†) / 2."""
     return (a + dagger(a)) / 2
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(a, b)
 
 
 def _check_square(m: np.ndarray) -> int:
@@ -117,11 +112,13 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order].real, vecs[:, order]
 
 
-def _floored(vals: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Clamp eigenvalues below floor * max to exact zero."""
-    top = float(np.max(vals, initial=0.0))
-    out = np.where(vals < floor * max(top, 0.0), 0.0, vals)
-    return np.maximum(out, 0.0)
+def floor_eigenvalues(vals: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
+    """Clamp eigenvalues below floor * max (and negative ones) to exact zero.
+
+    Works over the last axis, so a stack of spectra is floored row by row.
+    """
+    top = np.max(vals, axis=-1, keepdims=True, initial=0.0)
+    return np.maximum(np.where(vals < floor * top, 0.0, vals), 0.0)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -135,7 +132,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     top = max(float(np.max(np.abs(vals), initial=0.0)), 1e-300)
     if float(np.min(vals, initial=0.0)) < -PSD_TOL * top:
         raise NotPSD(f"eigenvalue {np.min(vals):.3e} below the PSD tolerance")
-    root = np.sqrt(_floored(vals))
+    root = np.sqrt(floor_eigenvalues(vals))
     return hermitianize((vecs * root) @ dagger(vecs))
 
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from . import theory
 from .channels import ChoiOperator, PurificationVector
 from .ensembles import (
     EnsembleSpec,
@@ -30,30 +30,20 @@ from .ensembles import (
     PURPOSE_WEIGHTS,
     RandomStream,
     _as_generator,
+    _choi_bank,
+    _vmat_bank,
     haar_unitaries_batch,
-    sample_ginibre,
+    sample_ginibre,  # noqa: F401  perfbench/tests/check_tracer.py wraps this binding
 )
 from .errors import InvalidDims, NotPSD, TooLarge
-from .linalg import (
-    EIG_FLOOR,
-    dagger,
-    hermitianize,
-    psd_sqrt,
-    swap_factors,
-    trace_norm,
-)
+from .linalg import dagger, floor_eigenvalues, hermitianize, swap_factors
 from .strategies import (
-    AppendMaxMixed,
-    AppendOptimal,
-    AppendState,
+    Append,
     AverageEnvUnitary,
-    Estimation,
-    MapToDepolarizing,
-    PureOutput,
     Strategy,
+    _clip_errors,
+    error_pure_output,
     parse_strategy,
-    strategy_label,
-    tomography_estimate,
 )
 
 __all__ = [
@@ -100,7 +90,7 @@ class ErrorReport:
     closed_form: Optional[float] = None
     per_sample: Optional[np.ndarray] = None
 
-    def consistent_with_closed_form(self, n_sigma: float = 4.0) -> Optional[bool]:
+    def consistent_with_closed_form(self, n_sigma: float = 3.0) -> Optional[bool]:
         """None when no closed form is attached; otherwise the n-sigma check."""
         if self.closed_form is None:
             return None
@@ -164,78 +154,19 @@ class MomentReport:
 
 
 # ---------------------------------------------------------------------------
-# Sample bank (batched channel draws keyed by sample index)
+# Single-sample error routes (batches of one through the machine classes)
 # ---------------------------------------------------------------------------
-
-
-def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
-    """Purification matrices (batch, d_i*d_o, d_e) for sample indices [lo, hi)."""
-    d_i, d_o, d_e = spec.dims
-    big = d_o * d_e
-    count = hi - lo
-    gs = np.empty((count, big, d_i), dtype=complex)
-    for j, i in enumerate(range(lo, hi)):
-        gs[j] = sample_ginibre(big, d_i, spec.stream(i, purpose))
-    h = np.einsum("bji,bjk->bik", gs.conj(), gs)
-    vals, vecs = np.linalg.eigh(h)
-    inv_root = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs.conj())
-    visos = gs @ inv_root
-    return visos.transpose(0, 2, 1).reshape(count, d_i * d_o, d_e)
-
-
-def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
-    vm = _vmat_bank(spec, lo, hi, purpose)
-    return vm @ vm.conj().transpose(0, 2, 1)
-
-
-def _floored_eigvalsh(stack: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues with the relative zero floor applied."""
-    vals = np.linalg.eigvalsh(stack)
-    top = np.maximum(vals.max(axis=1, keepdims=True), 0.0)
-    vals = np.where(vals < EIG_FLOOR * top, 0.0, vals)
-    return np.maximum(vals, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Per-sample error routes (exact minimizations)
-# ---------------------------------------------------------------------------
-
-
-def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
-    """Exact orbit-minimized error of a fixed pure output against channel c.
-
-    By the Uhlmann relation the best overlap with a purification of c is
-    the fidelity of the marginals, so the error is
-    2 d_i^2 - 2 ||sqrt(C) sqrt(tr_E |w><w|)||_1^2.
-    Depends on w only through its marginal; environments of different size
-    need no explicit embedding.
-    """
-    if (c.d_i, c.d_o) != (w.d_i, w.d_o):
-        raise InvalidDims("channel and pure output dims differ")
-    m_w = w.marginal_choi().matrix
-    overlap = trace_norm(psd_sqrt(c.matrix) @ psd_sqrt(m_w)) ** 2
-    return _clip_error(2.0 * c.d_i**2 - 2.0 * overlap, c.d_i)
 
 
 def error_append(c: ChoiOperator, rho_e: np.ndarray) -> float:
     """Exact orbit-minimized error of appending state rho_e to channel c.
 
     The orbit maximum of the overlap is the descending-eigenvalue pairing
-    sum_i (c_i)^2 lambda_i (ordered trace inequality), giving
-    d_i^2 + tr(C^2) tr(rho^2) - 2 sum_i (c_i)^2 lambda_i.
+    sum_i (c_i)^2 lambda_i (ordered trace inequality); see
+    :class:`~purifylab.strategies.Append`.
     """
-    rho_e = np.asarray(rho_e, dtype=complex)
-    cvals = np.sort(np.linalg.eigvalsh(hermitianize(c.matrix)))[::-1]
-    lam = np.sort(np.linalg.eigvalsh(hermitianize(rho_e)))[::-1]
-    return _append_error_from_spectra(c.d_i, cvals, lam)
-
-
-def _append_error_from_spectra(d_i: int, cvals: np.ndarray, lam: np.ndarray) -> float:
-    k = min(cvals.size, lam.size)
-    purity = float(np.sum(cvals**2))
-    rho_purity = float(np.sum(lam**2))
-    pair = float(np.sum((cvals[:k] ** 2) * lam[:k]))
-    return _clip_error(d_i**2 + purity * rho_purity - 2.0 * pair, d_i)
+    lam = np.linalg.eigvalsh(hermitianize(np.asarray(rho_e, dtype=complex)))
+    return float(Append(lam).errors(c.d_i, hermitianize(c.matrix)[None])[0])
 
 
 def error_map_to_depolarizing(d_i: int, d_o: int, d_e: int) -> float:
@@ -245,11 +176,7 @@ def error_map_to_depolarizing(d_i: int, d_o: int, d_e: int) -> float:
 
 def error_avg_env_unitary(c: ChoiOperator, d_e: int) -> float:
     """Per-sample value of the environment-averaged objective for C x 1/d_e."""
-    return _clip_error(c.d_i**2 - c.purity() / d_e, c.d_i)
-
-
-def _clip_error(err: float, d_i: int) -> float:
-    return float(min(max(err, 0.0), 2.0 * d_i**2))
+    return float(AverageEnvUnitary(d_e).errors(c.d_i, c.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +284,7 @@ def error_orbit_numeric(
         f, u, conv = _ascend(q, vmat, u0, opts)
         if f > best_f:
             best_f, best_u, best_conv = f, u, conv
-    err = _clip_error(q_purity + v.d_i**2 - 2.0 * best_f, v.d_i)
+    err = float(_clip_errors(q_purity + v.d_i**2 - 2.0 * best_f, v.d_i))
     return OrbitResult(err, best_f, best_conv, best_u)
 
 
@@ -377,7 +304,7 @@ def orbit_bruteforce(
     vmat = v.as_matrix()
     if v.d_e == 1:
         f = float(np.vdot(vmat.reshape(-1), q @ vmat.reshape(-1)).real)
-        return _clip_error(q_purity + v.d_i**2 - 2.0 * f, v.d_i)
+        return float(_clip_errors(q_purity + v.d_i**2 - 2.0 * f, v.d_i))
 
     alphas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     betas = np.linspace(0.0, math.pi, resolution)
@@ -394,7 +321,7 @@ def orbit_bruteforce(
 
     v_u = np.einsum("gef,mf->gme", u, vmat).reshape(a.size, -1)
     f = np.einsum("gi,ij,gj->g", v_u.conj(), q, v_u).real
-    return _clip_error(q_purity + v.d_i**2 - 2.0 * float(f.max()), v.d_i)
+    return float(_clip_errors(q_purity + v.d_i**2 - 2.0 * float(f.max()), v.d_i))
 
 
 # ---------------------------------------------------------------------------
@@ -402,99 +329,28 @@ def orbit_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def _per_sample_chunk(strategy: Strategy, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-    """Errors for sample indices [lo, hi), each by its tightest exact route."""
-    d_i, d_o, d_e = spec.dims
+def _chunk_map(fn, n: int, workers: int):
+    """Yield ``fn(lo, hi)`` for consecutive chunks of [0, n), in index order.
 
-    if isinstance(strategy, MapToDepolarizing):
-        val = error_map_to_depolarizing(d_i, d_o, strategy.d_e)
-        return np.full(hi - lo, val)
-
-    if isinstance(strategy, Estimation):
-        out = np.empty(hi - lo)
-        for j, i in enumerate(range(lo, hi)):
-            gen = spec.stream(i).generator()
-            g = sample_ginibre(d_o * d_e, d_i, gen)
-            h = g.conj().T @ g
-            vals, vecs = np.linalg.eigh(h)
-            viso = g @ ((vecs / np.sqrt(vals)) @ vecs.conj().T)
-            vmat = np.ascontiguousarray(viso.T).reshape(d_i * d_o, d_e)
-            c = ChoiOperator(d_i, d_o, vmat @ vmat.conj().T)
-            est = tomography_estimate(c, strategy.k, gen)
-            out[j] = error_pure_output(c, est)
-        return out
-
-    chois = _choi_bank(spec, lo, hi, PURPOSE_SAMPLE)
-
-    if isinstance(strategy, PureOutput):
-        m_w = strategy.w.marginal_choi().matrix
-        sqrt_w = psd_sqrt(m_w)
-        vals, vecs = np.linalg.eigh(chois)
-        top = np.maximum(vals.max(axis=1, keepdims=True), 0.0)
-        vals = np.where(vals < EIG_FLOOR * top, 0.0, np.maximum(vals, 0.0))
-        sqrt_c = np.einsum("bij,bj,bkj->bik", vecs, np.sqrt(vals), vecs.conj())
-        prod = sqrt_c @ sqrt_w
-        overlap = np.linalg.svd(prod, compute_uv=False).sum(axis=1) ** 2
-        errs = 2.0 * d_i**2 - 2.0 * overlap
-        return np.clip(errs, 0.0, 2.0 * d_i**2)
-
-    if isinstance(strategy, AverageEnvUnitary):
-        purities = np.einsum("bij,bij->b", chois.conj(), chois).real
-        errs = d_i**2 - purities / strategy.d_e
-        return np.clip(errs, 0.0, 2.0 * d_i**2)
-
-    if isinstance(strategy, (AppendState, AppendMaxMixed, AppendOptimal)):
-        if isinstance(strategy, AppendMaxMixed):
-            lam = np.full(strategy.d_e, 1.0 / strategy.d_e)
-        elif isinstance(strategy, AppendOptimal):
-            lam = np.sort(strategy.spectrum())[::-1]
-        else:
-            lam = np.sort(np.linalg.eigvalsh(hermitianize(strategy.rho_e)))[::-1]
-        cvals = np.sort(np.linalg.eigvalsh(chois), axis=1)[:, ::-1]
-        k = min(cvals.shape[1], lam.size)
-        purity = np.sum(cvals**2, axis=1)
-        pair = (cvals[:, :k] ** 2) @ lam[:k]
-        errs = d_i**2 + purity * float(np.sum(lam**2)) - 2.0 * pair
-        return np.clip(errs, 0.0, 2.0 * d_i**2)
-
-    raise TypeError(f"no per-sample route for strategy {strategy!r}")
-
-
-def _chunk_worker(args):
-    strategy, spec, lo, hi = args
-    return _per_sample_chunk(strategy, spec, lo, hi)
+    With more than one worker and more than one chunk the calls run in one
+    process pool; results still arrive in index order, so any reduction over
+    them is identical for every worker count.
+    """
+    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    if workers <= 1 or len(bounds) == 1:
+        for lo, hi in bounds:
+            yield fn(lo, hi)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, *zip(*bounds))
 
 
 def per_sample_errors(
     strategy: Strategy, spec: EnsembleSpec, n: int, workers: int = 1
 ) -> np.ndarray:
     """Per-sample errors for indices 0..n-1, identical for any worker count."""
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [_per_sample_chunk(strategy, spec, lo, hi) for lo, hi in bounds]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_chunk_worker, [(strategy, spec, lo, hi) for lo, hi in bounds])
-            )
-    return np.concatenate(parts)
-
-
-def _default_closed_form(strategy: Strategy, spec: EnsembleSpec) -> Optional[float]:
-    d_i, d_o, d_e = spec.dims
-    if isinstance(strategy, MapToDepolarizing):
-        return theory.eps_dep(d_i, d_o, strategy.d_e)
-    if isinstance(strategy, (AverageEnvUnitary, AppendMaxMixed)):
-        return theory.eps_avg_ue(d_i, d_o, d_e)
-    if isinstance(strategy, PureOutput):
-        if strategy.label == "pure:separable":
-            return theory.eps_separable_pure_output(d_i, d_o)
-        if d_e == 1:
-            return theory.eps_pure_isometric_inputs(d_i, d_o)
-        return None
-    if isinstance(strategy, (AppendState, AppendOptimal)) and d_e == 1:
-        return 0.0
-    return None
+    chunks = _chunk_map(partial(strategy.chunk_errors, spec), n, workers)
+    return np.concatenate(list(chunks))
 
 
 def estimate_average_error(
@@ -519,7 +375,7 @@ def estimate_average_error(
     var = float(np.var(per, ddof=1))
     stderr = 0.0 if var < ZERO_VARIANCE else math.sqrt(var / n)
     return ErrorReport(
-        strategy=strategy_label(strategy),
+        strategy=strategy.label,
         d_i=spec.d_i,
         d_o=spec.d_o,
         d_e=spec.d_e,
@@ -527,7 +383,7 @@ def estimate_average_error(
         seed=spec.seed,
         mean=mean,
         stderr=stderr,
-        closed_form=_default_closed_form(strategy, spec),
+        closed_form=strategy.closed_form(spec),
         per_sample=per if keep_per_sample else None,
     )
 
@@ -535,9 +391,9 @@ def estimate_average_error(
 _MOMENT_NAMES = ("purity", "sqrt_trace_sq", "ordered_eig_sq", "cmax_sq")
 
 
-def _moment_chunk(spec: EnsembleSpec, lo: int, hi: int, which: str, purpose: int):
+def _moment_chunk(spec: EnsembleSpec, which: str, purpose: int, lo: int, hi: int):
     chois = _choi_bank(spec, lo, hi, purpose)
-    vals = _floored_eigvalsh(chois)  # ascending, floored at zero
+    vals = floor_eigenvalues(np.linalg.eigvalsh(chois))  # ascending
     if which == "purity":
         return np.sum(vals**2, axis=1)[:, None]
     if which == "sqrt_trace_sq":
@@ -549,11 +405,6 @@ def _moment_chunk(spec: EnsembleSpec, lo: int, hi: int, which: str, purpose: int
         desc = vals[:, ::-1]
         return desc[:, :r] ** 2
     raise InvalidDims(f"unknown moment {which!r}; expected one of {_MOMENT_NAMES}")
-
-
-def _moment_worker(args):
-    spec, lo, hi, which, purpose = args
-    return _moment_chunk(spec, lo, hi, which, purpose)
 
 
 def estimate_moments(
@@ -572,18 +423,8 @@ def estimate_moments(
     """
     if n < 2:
         raise InvalidDims("moment estimation needs n >= 2")
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [_moment_chunk(spec, lo, hi, which, purpose) for lo, hi in bounds]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _moment_worker,
-                    [(spec, lo, hi, which, purpose) for lo, hi in bounds],
-                )
-            )
-    samples = np.concatenate(parts, axis=0)
+    chunks = _chunk_map(partial(_moment_chunk, spec, which, purpose), n, workers)
+    samples = np.concatenate(list(chunks), axis=0)
     values = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n)
     return MomentReport(which, values, stderr, n, spec.seed)
@@ -621,34 +462,24 @@ def _second_moment_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     return np.einsum("bi,bj->ij", pairs, pairs.conj())
 
 
-def _second_moment_worker(args):
-    spec, lo, hi = args
-    return _second_moment_chunk(spec, lo, hi)
-
-
 def second_moment_operator(
     spec: EnsembleSpec, n: int, *, workers: int = 1
 ) -> np.ndarray:
     """Monte Carlo average of the two-copy projector |V><V| x |V><V|.
 
-    Chunk partial sums are combined in fixed order, so the result is
-    worker-count independent.  Dense storage limits the joint dimension to
-    d_i * d_o * d_e <= 64.
+    Chunk partial sums are added in index order as they arrive, so the
+    result is worker-count independent and no list of partials is kept.
+    Dense storage limits the joint dimension to d_i * d_o * d_e <= 64.
     """
     side = spec.d_i * spec.d_o * spec.d_e
     if side > 64:
         raise TooLarge("two-copy operator needs d_i * d_o * d_e <= 64")
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [_second_moment_chunk(spec, lo, hi) for lo, hi in bounds]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_second_moment_worker, [(spec, lo, hi) for lo, hi in bounds])
-            )
-    acc = parts[0].copy()
-    for p in parts[1:]:
-        acc += p
+    if n < 1:
+        raise InvalidDims("two-copy average needs n >= 1")
+    parts = _chunk_map(partial(_second_moment_chunk, spec), n, workers)
+    acc = next(parts)
+    for part in parts:
+        acc += part
     return acc / n
 
 

@@ -1,16 +1,17 @@
 """The purification machines as executable objects.
 
-Each strategy maps an input Choi operator to a machine output on the
-A x B x E space (a PSD operator of trace d_i).  The implemented families:
+Each machine class carries everything the package knows about it: its
+output Q(C) on the A x B x E space (a PSD operator of trace d_i), its exact
+per-sample error over a range of sample indices, its moment-free closed
+form where one exists, and its label.  The five families:
 
-* ``PureOutput``   - ignore the input, emit a fixed pure Choi operator;
-* ``AppendState``  - leave the input unchanged, append a fixed state;
-* ``AppendMaxMixed`` / ``AppendOptimal`` / ``AppendPure`` - append special
-  spectra (maximally mixed, optimal thresholded weights, pure);
+* ``PureOutput``        - ignore the input, emit a fixed pure Choi operator;
+* ``Append``            - leave the input unchanged, append an environment
+  state of fixed spectrum (maximally mixed, optimal weights, pure);
 * ``MapToDepolarizing`` - emit the flat operator 1/(d_o d_e);
 * ``AverageEnvUnitary`` - the append-maximally-mixed machine scored by the
   environment-unitary average instead of the minimum;
-* ``Estimation``   - a k-copy measure-and-reprepare machine built on
+* ``Estimation``        - a k-copy measure-and-reprepare machine built on
   single-copy tomography in random bases.
 """
 
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Protocol
 
 import numpy as np
 
+from . import theory
 from .channels import (
     ChoiOperator,
     PurificationVector,
@@ -34,29 +36,69 @@ from .channels import (
 from .ensembles import (
     EnsembleSpec,
     PURPOSE_FIXED,
+    PURPOSE_SAMPLE,
     RandomStream,
     _as_generator,
+    _choi_bank,
     haar_unitaries_batch,
+    sample_choi,
     sample_haar_unitary,
 )
 from .errors import InvalidDims, InvalidWeights
-from .linalg import hermitianize
+from .linalg import floor_eigenvalues, hermitianize, psd_sqrt, trace_norm
 
 __all__ = [
     "PureOutput",
-    "AppendState",
-    "AppendMaxMixed",
-    "AppendOptimal",
+    "Append",
     "MapToDepolarizing",
     "AverageEnvUnitary",
     "Estimation",
     "Strategy",
     "STRATEGY_GRAMMAR",
     "apply",
+    "error_pure_output",
     "optimal_append_spectrum",
     "tomography_estimate",
     "parse_strategy",
 ]
+
+
+class Strategy(Protocol):
+    """What every purification machine provides."""
+
+    label: str
+
+    def output(
+        self, c: ChoiOperator, rs: RandomStream | np.random.Generator | None = None
+    ) -> np.ndarray:
+        """Machine output Q(C) on the joint A x B x E space."""
+
+    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+        """Exact orbit-minimized errors for sample indices [lo, hi)."""
+
+    def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
+        """Moment-free exact average error, or None when there is none."""
+
+
+def _clip_errors(err, d_i: int):
+    """Clamp errors (scalar or array) to their range [0, 2 d_i^2]."""
+    return np.clip(err, 0.0, 2.0 * d_i**2)
+
+
+def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
+    """Exact orbit-minimized error of a fixed pure output against channel c.
+
+    By the Uhlmann relation the best overlap with a purification of c is
+    the fidelity of the marginals, so the error is
+    2 d_i^2 - 2 ||sqrt(C) sqrt(tr_E |w><w|)||_1^2.
+    Depends on w only through its marginal; environments of different size
+    need no explicit embedding.
+    """
+    if (c.d_i, c.d_o) != (w.d_i, w.d_o):
+        raise InvalidDims("channel and pure output dims differ")
+    m_w = w.marginal_choi().matrix
+    overlap = trace_norm(psd_sqrt(c.matrix) @ psd_sqrt(m_w)) ** 2
+    return float(_clip_errors(2.0 * c.d_i**2 - 2.0 * overlap, c.d_i))
 
 
 @dataclass(frozen=True)
@@ -66,54 +108,111 @@ class PureOutput:
     w: PurificationVector
     label: str = "pure"
 
+    def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
+        if (self.w.d_i, self.w.d_o) != (c.d_i, c.d_o):
+            raise InvalidDims("pure output dims do not match the input channel")
+        return self.w.projector()
+
+    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+        """Batched Uhlmann route of :func:`error_pure_output`."""
+        chois = _choi_bank(spec, lo, hi, PURPOSE_SAMPLE)
+        sqrt_w = psd_sqrt(self.w.marginal_choi().matrix)
+        vals, vecs = np.linalg.eigh(chois)
+        root = np.sqrt(floor_eigenvalues(vals))
+        sqrt_c = np.einsum("bij,bj,bkj->bik", vecs, root, vecs.conj())
+        overlap = np.linalg.svd(sqrt_c @ sqrt_w, compute_uv=False).sum(axis=1) ** 2
+        return _clip_errors(2.0 * spec.d_i**2 - 2.0 * overlap, spec.d_i)
+
+    def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
+        # A separable output, or any output against isometric inputs, has
+        # average Uhlmann overlap d_i / d_o with the channel.
+        if self.label == "pure:separable" or spec.d_e == 1:
+            return theory.eps_separable_pure_output(spec.d_i, spec.d_o)
+        return None
+
 
 @dataclass(frozen=True)
-class AppendState:
-    """Append the fixed environment state rho_e to the unchanged input."""
+class Append:
+    """Append an environment state of the given spectrum to the unchanged input.
 
-    rho_e: np.ndarray
+    The orbit minimum depends on the appended state only through its
+    spectrum, which is kept in descending order.  The exact error is the
+    descending-eigenvalue pairing of the ordered trace inequality,
+    d_i^2 + tr(C^2) sum lambda^2 - 2 sum_i (c_i)^2 lambda_i.
+    """
+
+    spectrum: np.ndarray
     label: str = "append"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho_e", np.asarray(self.rho_e, dtype=complex))
+        lam = np.asarray(self.spectrum, dtype=float)
+        if lam.ndim != 1 or lam.size == 0:
+            raise InvalidDims("appended spectrum must be a non-empty vector")
+        # contiguous, so a copy sent to a pool worker multiplies alike
+        object.__setattr__(self, "spectrum", np.ascontiguousarray(np.sort(lam)[::-1]))
 
+    def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
+        return np.kron(c.matrix, np.diag(self.spectrum).astype(complex))
 
-@dataclass(frozen=True)
-class AppendMaxMixed:
-    d_e: int
-    label: str = "append:maxmixed"
+    def errors(self, d_i: int, chois: np.ndarray) -> np.ndarray:
+        """Exact errors against a stack of Choi matrices."""
+        lam = self.spectrum
+        cvals = np.sort(np.linalg.eigvalsh(chois), axis=1)[:, ::-1]
+        k = min(cvals.shape[1], lam.size)
+        purity = np.sum(cvals**2, axis=1)
+        pair = (cvals[:, :k] ** 2) @ lam[:k]
+        return _clip_errors(d_i**2 + purity * float(np.sum(lam**2)) - 2.0 * pair, d_i)
 
+    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+        return self.errors(spec.d_i, _choi_bank(spec, lo, hi, PURPOSE_SAMPLE))
 
-@dataclass(frozen=True)
-class AppendOptimal:
-    """Append a state with the error-minimizing spectrum.
-
-    ``weights`` are ordered-eigenvalue second moments (descending, length
-    d_e, zero-padded); the appended spectrum is weights normalized to unit
-    sum.
-    """
-
-    weights: tuple[float, ...]
-    label: str = "append:optimal"
-
-    def spectrum(self) -> np.ndarray:
-        w = np.asarray(self.weights, dtype=float)
-        return w / w.sum()
+    def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
+        # The maximally mixed state commutes with every environment unitary,
+        # so its orbit minimum is the environment average.
+        if self.spectrum.size == spec.d_e and np.all(self.spectrum == 1.0 / spec.d_e):
+            return theory.eps_avg_ue(*spec.dims)
+        return None
 
 
 @dataclass(frozen=True)
 class MapToDepolarizing:
+    """Emit the flat operator d_i / (d_i d_o d_e), whatever the input."""
+
     d_e: int
-    label: str = "dep"
+    label: ClassVar[str] = "dep"
+
+    def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
+        side = c.d_i * c.d_o * self.d_e
+        return np.eye(side, dtype=complex) * (c.d_i / side)
+
+    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+        return np.full(hi - lo, theory.eps_dep(spec.d_i, spec.d_o, self.d_e))
+
+    def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
+        return theory.eps_dep(spec.d_i, spec.d_o, self.d_e)
 
 
 @dataclass(frozen=True)
 class AverageEnvUnitary:
     """Append-maximally-mixed machine, scored by the average over environment
-    unitaries rather than the orbit minimum."""
+    unitaries rather than the orbit minimum: d_i^2 - tr(C^2) / d_e."""
 
     d_e: int
-    label: str = "avg-ue"
+    label: ClassVar[str] = "avg-ue"
+
+    def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
+        return np.kron(c.matrix, np.eye(self.d_e) / self.d_e)
+
+    def errors(self, d_i: int, chois: np.ndarray) -> np.ndarray:
+        """Per-sample averaged objective against a stack of Choi matrices."""
+        purities = np.einsum("bij,bij->b", chois.conj(), chois).real
+        return _clip_errors(d_i**2 - purities / self.d_e, d_i)
+
+    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+        return self.errors(spec.d_i, _choi_bank(spec, lo, hi, PURPOSE_SAMPLE))
+
+    def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
+        return theory.eps_avg_ue(*spec.dims)
 
 
 @dataclass(frozen=True)
@@ -125,18 +224,28 @@ class Estimation:
     """
 
     k: Optional[int]
-    label: str = "tomo"
 
+    @property
+    def label(self) -> str:
+        return f"tomo:k={self.k if self.k is not None else 'inf'}"
 
-Strategy = Union[
-    PureOutput,
-    AppendState,
-    AppendMaxMixed,
-    AppendOptimal,
-    MapToDepolarizing,
-    AverageEnvUnitary,
-    Estimation,
-]
+    def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
+        if rs is None:
+            raise InvalidDims("estimation strategy needs a random stream")
+        return tomography_estimate(c, self.k, rs).projector()
+
+    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+        """Each sample's stream draws the channel, then feeds its shots."""
+        out = np.empty(hi - lo)
+        for j, i in enumerate(range(lo, hi)):
+            gen = spec.stream(i).generator()
+            c, _ = sample_choi(spec, gen)
+            out[j] = error_pure_output(c, tomography_estimate(c, self.k, gen))
+        return out
+
+    def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
+        return None
+
 
 STRATEGY_GRAMMAR = (
     "pure:omega | pure:separable | pure:random | append:maxmixed | "
@@ -154,30 +263,7 @@ def apply(
     Always a PSD operator of trace d_i.  Only the estimation machine
     consumes randomness.
     """
-    d_i, d_o = c.d_i, c.d_o
-    if isinstance(strategy, PureOutput):
-        w = strategy.w
-        if (w.d_i, w.d_o) != (d_i, d_o):
-            raise InvalidDims("pure output dims do not match the input channel")
-        return w.projector()
-    if isinstance(strategy, AppendState):
-        rho = strategy.rho_e
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise InvalidDims("appended state must be a square matrix")
-        return np.kron(c.matrix, rho)
-    if isinstance(strategy, (AppendMaxMixed, AverageEnvUnitary)):
-        return np.kron(c.matrix, np.eye(strategy.d_e) / strategy.d_e)
-    if isinstance(strategy, AppendOptimal):
-        return np.kron(c.matrix, np.diag(strategy.spectrum()).astype(complex))
-    if isinstance(strategy, MapToDepolarizing):
-        side = d_i * d_o * strategy.d_e
-        return np.eye(side, dtype=complex) * (d_i / side)
-    if isinstance(strategy, Estimation):
-        if rs is None:
-            raise InvalidDims("estimation strategy needs a random stream")
-        est = tomography_estimate(c, strategy.k, rs)
-        return est.projector()
-    raise TypeError(f"unknown strategy {strategy!r}")
+    return strategy.output(c, rs)
 
 
 def optimal_append_spectrum(
@@ -279,12 +365,10 @@ def parse_strategy(
         psi[0] = 1.0
         return PureOutput(separable_purification(ups, psi), label=text)
     if text == "pure:random":
-        from .ensembles import sample_choi
-
         _, w = sample_choi(spec, spec.stream(0, PURPOSE_FIXED))
         return PureOutput(w, label=text)
     if text == "append:maxmixed":
-        return AppendMaxMixed(spec.d_e)
+        return Append(np.full(spec.d_e, 1.0 / spec.d_e), label=text)
     if text == "append:optimal":
         if append_weights is None:
             raise InvalidWeights(
@@ -294,11 +378,11 @@ def parse_strategy(
         w = np.zeros(spec.d_e)
         got = np.asarray(append_weights, dtype=float)
         w[: got.size] = got[: spec.d_e]
-        return AppendOptimal(tuple(w))
+        return Append(w / w.sum(), label=text)
     if text == "append:pure":
-        rho = np.zeros((spec.d_e, spec.d_e), dtype=complex)
-        rho[0, 0] = 1.0
-        return AppendState(rho, label=text)
+        lam = np.zeros(spec.d_e)
+        lam[0] = 1.0
+        return Append(lam, label=text)
     if text == "dep":
         return MapToDepolarizing(spec.d_e)
     if text == "avg-ue":
@@ -306,16 +390,9 @@ def parse_strategy(
     if text.startswith("tomo:k="):
         raw = text.split("=", 1)[1]
         if raw in ("inf", "none"):
-            return Estimation(None, label=text)
+            return Estimation(None)
         k = int(raw)
         if k < 1:
             raise InvalidDims("tomo copy budget must be >= 1")
-        return Estimation(k, label=text)
+        return Estimation(k)
     raise InvalidDims(f"unknown strategy {text!r}; expected one of {STRATEGY_GRAMMAR}")
-
-
-def strategy_label(strategy: Strategy) -> str:
-    label = getattr(strategy, "label", None)
-    if isinstance(strategy, Estimation) and strategy.label == "tomo":
-        return f"tomo:k={strategy.k if strategy.k is not None else 'inf'}"
-    return label or type(strategy).__name__

@@ -20,14 +20,12 @@ __all__ = [
     "eps_dep",
     "eps_avg_ue",
     "eps_pure",
-    "eps_pure_isometric_inputs",
     "eps_separable_pure_output",
     "eps_app",
     "eps_app_bounds",
     "eps_app_pure_ancilla",
     "eps_tomo_bound",
     "table2_regime_values",
-    "table2_balanced_purity",
     "sqrt_moment_asymptote",
 ]
 
@@ -67,13 +65,12 @@ def eps_pure(d_i: int, d_o: int, moment_tr_sqrt_sq: float) -> float:
     return 2.0 * d_i**2 - (2.0 / d_o) * moment_tr_sqrt_sq
 
 
-def eps_pure_isometric_inputs(d_i: int, d_o: int) -> float:
-    """Pure-output error in the isometric-input regime (d_e = 1): 2(d_i^2 - d_i/d_o)."""
-    return 2.0 * (d_i**2 - d_i / d_o)
-
-
 def eps_separable_pure_output(d_i: int, d_o: int) -> float:
-    """Error of any fixed separable pure output, 2(d_i^2 - d_i/d_o), for every d_e."""
+    """Error of any fixed separable pure output, 2(d_i^2 - d_i/d_o), for every d_e.
+
+    The same value is the error of every pure output against isometric
+    inputs (d_e = 1).
+    """
     return 2.0 * (d_i**2 - d_i / d_o)
 
 
@@ -127,28 +124,17 @@ def eps_tomo_bound(
     return 2.0 * d_i**2 * (min(1.0, rate) + delta)
 
 
-def table2_balanced_purity(d_i: int, d_o: int) -> float:
-    """Average purity at the balanced environment d_e = d_i d_o.
-
-    (d_i d_o (d_i^2 d_o^2 - 1) + d_i^3 d_o (d_o^2 - 1)) / (d_o^4 d_i^2 - 1);
-    identical to avg_purity(d_i, d_o, d_i * d_o).
-    """
-    num = d_i * d_o * (d_i**2 * d_o**2 - 1) + d_i**3 * d_o * (d_o**2 - 1)
-    den = d_o**4 * d_i**2 - 1
-    return num / den
-
-
 def table2_regime_values(d_i: int, d_o: int) -> dict:
     """Strategy errors in the three environment regimes (1, d_i d_o, infinity).
 
     The pure-output value at the balanced point needs a Monte Carlo moment
     and is reported as None.
     """
-    e_bal = table2_balanced_purity(d_i, d_o)
+    e_bal = avg_purity(d_i, d_o, d_i * d_o)
     return {
         "balanced_purity": e_bal,
         "pure": {
-            "d_e=1": eps_pure_isometric_inputs(d_i, d_o),
+            "d_e=1": eps_separable_pure_output(d_i, d_o),
             "d_e=d_i*d_o": None,  # requires the E[(tr sqrt C)^2] moment
             "d_e=inf": 0.0,
         },

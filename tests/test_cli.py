@@ -147,6 +147,17 @@ class TestSpectrum:
     def test_min_bins(self):
         assert run_cli(["spectrum", "--bins", "5"]) == 2
 
+    def test_header_has_no_sample_count(self, tmp_path):
+        # The histogram pools --draws channels; n plays no part in it.
+        out = tmp_path / "spec.csv"
+        run_cli([
+            "spectrum", "--di", "2", "--do", "2", "--de", "2", "--seed", "3",
+            "--draws", "10", "--bins", "10", "--out", str(out),
+        ])
+        header = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+        assert "# draws=10" in header
+        assert not any(ln.startswith("# n=") for ln in header)
+
     def test_balanced_case_tracks_mp_reference(self, tmp_path):
         out = tmp_path / "spec16.csv"
         code = run_cli([
@@ -173,6 +184,19 @@ class TestTomoScaling:
         assert lines[-1].startswith("slope,")
         slope = float(lines[-1].split(",")[1])
         assert -1.6 < slope < -0.4
+
+    def test_config_n_is_used(self, tmp_path):
+        base = [
+            "tomo-scaling", "--di", "1", "--do", "2", "--de", "2", "--seed", "6",
+            "--k", "8,32,128",
+        ]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=5\n")
+        from_cfg, from_flag = tmp_path / "cfg.csv", tmp_path / "flag.csv"
+        assert run_cli(base + ["--config", str(cfg), "--out", str(from_cfg)]) == 0
+        assert run_cli(base + ["--n", "5", "--out", str(from_flag)]) == 0
+        assert body_lines(from_cfg) == body_lines(from_flag)
+        assert "# n=5" in from_cfg.read_text().splitlines()
 
     def test_k_range_validation(self):
         assert run_cli(["tomo-scaling", "--k", "64,128"]) == 2

@@ -34,23 +34,6 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestKron:
-    def test_identity_case(self):
-        assert_allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_scalar_factor(self):
-        x = np.array([[0, 1], [1, 0]])
-        assert_allclose(linalg.kron(x, np.array([[1.0]])), x)
-
-    def test_mixed_product_rule(self):
-        # (A x B)(C x D) = AC x BD, checked by direct multiplication.
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a, b, c, d = (random_complex(rng, 2) for _ in range(4))
-            lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-            assert_allclose(lhs, linalg.kron(a @ c, b @ d), atol=1e-12)
-
-
 class TestPartialTrace:
     def test_product_state(self):
         v = np.zeros(4)

@@ -12,6 +12,7 @@ from purifylab.channels import (
 from purifylab.ensembles import EnsembleSpec, RandomStream, sample_choi
 from purifylab.errors import InvalidDims, TooLarge
 from purifylab.metrics import (
+    ErrorReport,
     OrbitOptOptions,
     error_append,
     error_avg_env_unitary,
@@ -29,12 +30,25 @@ from purifylab.metrics import (
     channel_pair_moment_closed_form,
 )
 from purifylab.strategies import (
-    AppendMaxMixed,
+    Append,
     AverageEnvUnitary,
     Estimation,
     MapToDepolarizing,
     parse_strategy,
 )
+
+
+ALL_STRATEGY_TEXTS = [
+    "pure:omega",
+    "pure:separable",
+    "pure:random",
+    "append:maxmixed",
+    "append:optimal",
+    "append:pure",
+    "dep",
+    "avg-ue",
+    "tomo:k=3",
+]
 
 
 def sampled(spec, i=0):
@@ -212,7 +226,7 @@ class TestEstimateAverageError:
 
     def test_append_maxmixed_trivial_env(self):
         spec = EnsembleSpec(2, 2, 1, seed=82)
-        rep = estimate_average_error(AppendMaxMixed(1), spec, 100)
+        rep = estimate_average_error(Append([1.0]), spec, 100)
         assert rep.mean <= 1e-10
         assert rep.closed_form == pytest.approx(0.0, abs=1e-12)
 
@@ -235,9 +249,11 @@ class TestEstimateAverageError:
             assert np.all(per >= 0.0)
             assert np.all(per <= 2 * 4 + 1e-9)
 
-    def test_worker_count_invariance(self):
+    @pytest.mark.parametrize("text", ALL_STRATEGY_TEXTS)
+    def test_worker_count_invariance(self, text):
+        # n = 1200 spans three 512-sample chunks, so the pool path runs.
         spec = EnsembleSpec(2, 2, 2, seed=86)
-        strat = AppendMaxMixed(2)
+        strat = make_strategy(text, spec, n_weights=1200)
         a = per_sample_errors(strat, spec, 1200, workers=1)
         b = per_sample_errors(strat, spec, 1200, workers=4)
         assert np.array_equal(a, b)
@@ -252,6 +268,11 @@ class TestEstimateAverageError:
         spec = EnsembleSpec(2, 2, 2, seed=88)
         with pytest.raises(InvalidDims):
             estimate_average_error(MapToDepolarizing(2), spec, 1)
+
+    def test_closed_form_check_defaults_to_three_sigma(self):
+        rep = ErrorReport("dep", 2, 2, 2, 100, 0, mean=1.35, stderr=0.1, closed_form=1.0)
+        assert rep.consistent_with_closed_form() is False
+        assert rep.consistent_with_closed_form(4.0) is True
 
     def test_report_json_schema(self):
         spec = EnsembleSpec(2, 2, 2, seed=89)
@@ -297,7 +318,7 @@ class TestMoments:
     def test_make_strategy_append_optimal(self):
         spec = EnsembleSpec(2, 2, 2, seed=96)
         s = make_strategy("append:optimal", spec, n_weights=2000)
-        lam = s.spectrum()
+        lam = s.spectrum
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(lam) <= 0)
 
@@ -353,7 +374,18 @@ class TestSecondMoment:
         b = second_moment_operator(spec, 1500, workers=3)
         assert np.array_equal(a, b)
 
+    def test_two_worker_invariance(self):
+        # Three chunks at (2, 2, 2), summed in index order by both paths.
+        spec = EnsembleSpec(2, 2, 2, seed=108)
+        a = second_moment_operator(spec, 1300, workers=1)
+        b = second_moment_operator(spec, 1300, workers=2)
+        assert np.array_equal(a, b)
+
     def test_too_large(self):
         spec = EnsembleSpec(4, 4, 8, seed=107)
         with pytest.raises(TooLarge):
             second_moment_operator(spec, 10)
+
+    def test_needs_a_sample(self):
+        with pytest.raises(InvalidDims):
+            second_moment_operator(EnsembleSpec(1, 2, 1, seed=109), 0)

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from purifylab import ensembles, linalg, strategies
+from purifylab import ensembles, linalg
 from purifylab.channels import depolarizing_choi, max_entangled_purification
 from purifylab.ensembles import EnsembleSpec, RandomStream
 from purifylab.errors import InvalidDims, InvalidWeights
 from purifylab.strategies import (
-    AppendMaxMixed,
-    AppendOptimal,
-    AppendState,
+    Append,
     MapToDepolarizing,
     PureOutput,
     apply,
@@ -57,14 +55,13 @@ class TestApply:
     def test_append_maxmixed_form(self):
         spec = EnsembleSpec(2, 2, 3, seed=33)
         c, _ = sampled(spec)
-        out = apply(AppendMaxMixed(3), c)
+        out = apply(Append(np.full(3, 1 / 3)), c)
         assert_allclose(out, np.kron(c.matrix, np.eye(3) / 3), atol=1e-14)
 
     def test_append_marginal_is_input(self):
         spec = EnsembleSpec(2, 2, 2, seed=34)
         c, _ = sampled(spec)
-        rho = np.diag([0.6, 0.4]).astype(complex)
-        out = apply(AppendState(rho), c)
+        out = apply(Append([0.6, 0.4]), c)
         marg = linalg.partial_trace(out, (4, 2), keep=(0,))
         assert_allclose(marg, c.matrix, atol=1e-14)
 
@@ -189,8 +186,8 @@ class TestParse:
         with pytest.raises(InvalidWeights):
             parse_strategy("append:optimal", spec)
         s = parse_strategy("append:optimal", spec, append_weights=[1.8, 0.6])
-        assert isinstance(s, AppendOptimal)
-        assert_allclose(s.spectrum(), [0.75, 0.25])
+        assert isinstance(s, Append)
+        assert_allclose(s.spectrum, [0.75, 0.25])
 
     def test_unknown_rejected(self):
         spec = EnsembleSpec(2, 2, 2, seed=56)
@@ -201,4 +198,4 @@ class TestParse:
         spec = EnsembleSpec(2, 2, 2, seed=57)
         for text in ALL_TEXTS:
             s = parse_strategy(text, spec)
-            assert strategies.strategy_label(s) == text
+            assert s.label == text

@@ -69,7 +69,7 @@ class TestEpsAvgUe:
 
 class TestEpsPure:
     def test_isometric_inputs(self):
-        assert theory.eps_pure_isometric_inputs(2, 2) == pytest.approx(6.0)
+        assert theory.eps_separable_pure_output(2, 2) == pytest.approx(6.0)
         # Same value through the moment form: moment = d_i at d_e = 1.
         assert theory.eps_pure(2, 2, 2.0) == pytest.approx(6.0)
 
@@ -171,15 +171,9 @@ class TestEpsTomoBound:
 class TestTable2:
     def test_balanced_purity_qubits(self):
         # (4*15 + 8*2*3) / 63 = 12/7
-        val = theory.table2_balanced_purity(2, 2)
+        val = theory.table2_regime_values(2, 2)["balanced_purity"]
         assert val == pytest.approx(12 / 7, abs=1e-15)
         assert val == pytest.approx(theory.avg_purity(2, 2, 4), abs=1e-15)
-
-    def test_balanced_purity_consistency(self):
-        for d_i, d_o in [(1, 2), (2, 3), (3, 2)]:
-            assert theory.table2_balanced_purity(d_i, d_o) == pytest.approx(
-                theory.avg_purity(d_i, d_o, d_i * d_o), abs=1e-13
-            )
 
     def test_regime_table(self):
         t = theory.table2_regime_values(2, 2)
