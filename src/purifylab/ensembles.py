@@ -15,6 +15,7 @@ matter how samples are distributed over workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,10 @@ class RandomStream:
     of host, thread count, or draw history of other streams.  Value type:
     copying the stream and calling :meth:`generator` twice replays the same
     sequence.
+
+    The Philox key is ``[seed mod 2^64, index mod 2^64]`` and the counter
+    starts at 0; :meth:`EnsembleSpec.stream` forms the index as
+    ``(purpose << 48) + sample``.  Building a generator reads no OS entropy.
     """
 
     seed: int
@@ -94,7 +99,30 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_key_seed_type()(key)))
+
+
+@functools.cache
+def _key_seed_type() -> type:
+    """Seed-sequence class that hands Philox a fixed 128-bit key.
+
+    Philox seeded with it starts at the same key and counter 0 as
+    ``Philox(key=key)``, without first building a ``SeedSequence`` from OS
+    entropy that the key would override.  Built on first use so that
+    importing purifylab does not import ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or dtype is not np.uint64:
+                raise ValueError("a Philox key is two 64-bit words")
+            return self.key
+
+    return KeySeed
 
 
 def _as_generator(rs: RandomStream | np.random.Generator) -> np.random.Generator:
@@ -111,7 +139,8 @@ def sample_ginibre(
         raise InvalidDims("Ginibre dimensions must be >= 1")
     rng = _as_generator(rs)
     z = rng.standard_normal((rows, cols, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    # each trailing (Re, Im) pair read in place as one complex128
+    return z.view(complex)[..., 0] / math.sqrt(2.0)
 
 
 def _polar_isometry(g: np.ndarray) -> np.ndarray:
@@ -136,14 +165,26 @@ def sample_haar_unitary(d: int, rs: RandomStream | np.random.Generator) -> np.nd
     return sample_haar_isometry(d, d, rs)
 
 
+def _polar_batch(g: np.ndarray) -> np.ndarray:
+    """Polar factors G (G†G)^(-1/2) of a stack of full-column-rank matrices.
+
+    Raises :class:`SingularNormalizer` when some G†G has its smallest
+    eigenvalue at or below 1e-14 times its largest.
+    """
+    h = np.einsum("bji,bjk->bik", g.conj(), g)
+    vals, vecs = np.linalg.eigh(h)
+    # eigh sorts ascending, so a zero or negative top eigenvalue trips this too
+    if (vals[:, 0] <= 1e-14 * vals[:, -1]).any():
+        raise SingularNormalizer("G†G is numerically singular")
+    inv_root = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs.conj())
+    return g @ inv_root
+
+
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, drawn in one pass."""
     z = rng.standard_normal((count, d, d, 2))
     g = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-    h = np.einsum("bji,bjk->bik", g.conj(), g)
-    vals, vecs = np.linalg.eigh(h)
-    inv_root = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs.conj())
-    return g @ inv_root
+    return _polar_batch(g)
 
 
 def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
@@ -154,11 +195,7 @@ def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray
     gs = np.empty((count, big, d_i), dtype=complex)
     for j, i in enumerate(range(lo, hi)):
         gs[j] = sample_ginibre(big, d_i, spec.stream(i, purpose))
-    h = np.einsum("bji,bjk->bik", gs.conj(), gs)
-    vals, vecs = np.linalg.eigh(h)
-    inv_root = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs.conj())
-    visos = gs @ inv_root
-    return visos.transpose(0, 2, 1).reshape(count, d_i * d_o, d_e)
+    return _polar_batch(gs).transpose(0, 2, 1).reshape(count, d_i * d_o, d_e)
 
 
 def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:

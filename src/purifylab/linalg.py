@@ -24,6 +24,7 @@ __all__ = [
     "fidelity",
     "flip_operator",
     "swap_factors",
+    "permute_factors",
     "complete_elliptic",
     "hermitianize",
     "dagger",
@@ -167,11 +168,27 @@ def flip_operator(d: int) -> np.ndarray:
     """
     if d < 1:
         raise InvalidDims("flip dimension must be >= 1")
-    f = np.zeros((d * d, d * d))
-    idx = np.arange(d * d)
-    i, j = divmod(idx, d)
-    f[idx, j * d + i] = 1.0
-    return f
+    return permute_factors((d, d), (1, 0))
+
+
+def permute_factors(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Operator P |b_0, ..., b_{n-1}> = |b_perm[0], ..., b_perm[n-1]>.
+
+    Factor ``perm[k]`` of the input lands in slot k, so every factor must
+    keep its dimension.  Built by index assignment, so a product of
+    factor permutations costs one dense matrix instead of a matmul.
+    """
+    dims = [int(d) for d in dims]
+    perm = [int(p) for p in perm]
+    if sorted(perm) != list(range(len(dims))) or any(
+        dims[p] != d for p, d in zip(perm, dims)
+    ):
+        raise InvalidDims(f"{perm} does not permute equal factors of dims {dims}")
+    side = math.prod(dims)
+    cols = np.arange(side).reshape(dims).transpose(perm).reshape(-1)
+    out = np.zeros((side, side))
+    out[np.arange(side), cols] = 1.0
+    return out
 
 
 def swap_factors(dims: Sequence[int], i: int, j: int) -> np.ndarray:
@@ -185,13 +202,9 @@ def swap_factors(dims: Sequence[int], i: int, j: int) -> np.ndarray:
     n = len(dims)
     if not (0 <= i < n and 0 <= j < n) or dims[i] != dims[j]:
         raise InvalidDims(f"cannot swap factors {i},{j} of dims {dims}")
-    side = math.prod(dims)
     perm = list(range(n))
     perm[i], perm[j] = perm[j], perm[i]
-    eye = np.eye(side)
-    # Row multi-index permuted, columns left alone.
-    t = eye.reshape(dims + [side]).transpose(perm + [n])
-    return t.reshape(side, side)
+    return permute_factors(dims, perm)
 
 
 def complete_elliptic(m: float) -> tuple[float, float]:

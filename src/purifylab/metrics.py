@@ -36,7 +36,14 @@ from .ensembles import (
     sample_ginibre,  # noqa: F401  perfbench/tests/check_tracer.py wraps this binding
 )
 from .errors import InvalidDims, NotPSD, TooLarge
-from .linalg import dagger, floor_eigenvalues, hermitianize, swap_factors
+from .linalg import (
+    dagger,
+    flip_operator,
+    floor_eigenvalues,
+    hermitianize,
+    permute_factors,
+    swap_factors,
+)
 from .strategies import (
     Append,
     AverageEnvUnitary,
@@ -496,10 +503,15 @@ def second_moment_closed_form(spec: EnsembleSpec) -> np.ndarray:
         raise TooLarge("two-copy operator needs d_i * d_o * d_e <= 64")
     big = d_o * d_e
     dims = [d_i, d_o, d_e, d_i, d_o, d_e]
-    f_i = swap_factors(dims, 0, 3)
-    f_oe = swap_factors(dims, 1, 4) @ swap_factors(dims, 2, 5)
-    eye = np.eye(side * side)
-    return (eye + f_i @ f_oe) / (big**2 - 1) - (f_i + f_oe) / (big * (big**2 - 1))
+    # In-place updates hold at most two side^4 matrices at a time.
+    sub = swap_factors(dims, 0, 3)
+    sub += permute_factors(dims, (0, 4, 5, 3, 1, 2))  # F_O F_E
+    sub /= big * (big**2 - 1)
+    lead = flip_operator(side)  # F_I F_O F_E swaps the two copies whole
+    lead[np.diag_indices_from(lead)] += 1.0
+    lead /= big**2 - 1
+    lead -= sub
+    return lead
 
 
 def channel_pair_moment_closed_form(spec: EnsembleSpec) -> np.ndarray:
@@ -513,8 +525,8 @@ def channel_pair_moment_closed_form(spec: EnsembleSpec) -> np.ndarray:
     dims = [d_i, d_o, d_i, d_o]
     f_i = swap_factors(dims, 0, 2)
     f_o = swap_factors(dims, 1, 3)
-    side = (d_i * d_o) ** 2
-    eye = np.eye(side)
-    lead = (d_e**2 * eye + d_e * f_i @ f_o) / (big**2 - 1)
+    lead = d_e * flip_operator(d_i * d_o)  # d_e F_I F_O
+    lead[np.diag_indices_from(lead)] += d_e**2
+    lead /= big**2 - 1
     sub = (d_e**2 * f_i + d_e * f_o) / (big * (big**2 - 1))
     return lead - sub

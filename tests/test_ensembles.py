@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from scipy import integrate
 
 from purifylab import ensembles, linalg
 from purifylab.ensembles import EnsembleSpec, RandomStream
-from purifylab.errors import DomainError, InvalidDims
+from purifylab.errors import DomainError, InvalidDims, SingularNormalizer
+
+M64 = (1 << 64) - 1
 
 
 def qr_haar_isometry(d_in, d_out, rng):
@@ -42,6 +47,81 @@ class TestSpecAndStream:
         s0 = spec.stream(0, ensembles.PURPOSE_SAMPLE)
         s1 = spec.stream(0, ensembles.PURPOSE_WEIGHTS)
         assert s0.index != s1.index
+
+
+def philox_reference(seed, index):
+    """The documented stream: Philox keyed [seed mod 2^64, index mod 2^64].
+
+    The key goes in as a uint64 array: numpy casts a list holding a word
+    of 2^63 or more to zero.
+    """
+    key = np.array([seed & M64, index & M64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 5, 20245])
+    @pytest.mark.parametrize(
+        "index", [0, 123, (1 << 48) + 7, ensembles.PURPOSE_FIXED << 48]
+    )
+    def test_matches_keyed_philox(self, seed, index):
+        got = RandomStream(seed, index).generator()
+        ref = philox_reference(seed, index)
+        for size in (1, 7, (4, 2, 2), 33):
+            assert np.array_equal(got.standard_normal(size), ref.standard_normal(size))
+            assert np.array_equal(got.random(size), ref.random(size))
+
+    def test_value_type_replay_interleaved(self):
+        stream = RandomStream(20245, (1 << 48) + 3)
+        a, b = stream.generator(), stream.generator()
+        other = RandomStream(20245, (1 << 48) + 4).generator()
+        first = [a.standard_normal(5), other.standard_normal(5), a.random(3)]
+        other.random(11)
+        second = [b.standard_normal(5), b.random(3)]
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[2], second[1])
+        assert not np.array_equal(first[0], first[1])
+
+    def test_spec_stream_key(self):
+        spec = EnsembleSpec(2, 2, 2, seed=7)
+        got = spec.stream(5, ensembles.PURPOSE_WEIGHTS).generator()
+        ref = philox_reference(7, (ensembles.PURPOSE_WEIGHTS << 48) + 5)
+        assert np.array_equal(got.standard_normal(16), ref.standard_normal(16))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        code = (
+            "import sys, purifylab, purifylab.cli; "
+            "sys.exit('numpy.random' in sys.modules)"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (64, 4)])
+    def test_ginibre_matches_split_formula(self, shape):
+        stream = RandomStream(20245, 11)
+        z = stream.generator().standard_normal((*shape, 2))
+        want = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        assert np.array_equal(ensembles.sample_ginibre(*shape, stream), want)
+
+
+class TestPolarBatch:
+    def test_isometries(self):
+        rng = RandomStream(3, 0).generator()
+        g = (rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3)))
+        v = ensembles._polar_batch(g)
+        eye = np.broadcast_to(np.eye(3), (6, 3, 3))
+        assert_allclose(v.conj().transpose(0, 2, 1) @ v, eye, atol=1e-12)
+
+    def test_rank_deficient_stack_raises(self):
+        rng = RandomStream(4, 0).generator()
+        g = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        g[1, :, 1] = 2.0 * g[1, :, 0]  # second column parallel to the first
+        with pytest.raises(SingularNormalizer):
+            ensembles._polar_batch(g)
+        g[1] = 0.0
+        with pytest.raises(SingularNormalizer):
+            ensembles._polar_batch(g)
 
 
 class TestGinibre:

@@ -217,6 +217,34 @@ class TestFlip:
         assert_allclose(lhs, np.kron(c, np.kron(b, a)), atol=1e-12)
 
 
+class TestPermuteFactors:
+    @pytest.mark.parametrize("d_i,d_o,d_e", [(1, 2, 2), (2, 2, 2), (2, 3, 1)])
+    def test_products_of_swaps(self, d_i, d_o, d_e):
+        dims = (d_i, d_o, d_e, d_i, d_o, d_e)
+        f_i = linalg.swap_factors(dims, 0, 3)
+        f_oe = linalg.swap_factors(dims, 1, 4) @ linalg.swap_factors(dims, 2, 5)
+        side = d_i * d_o * d_e
+        assert np.array_equal(linalg.permute_factors(dims, (0, 4, 5, 3, 1, 2)), f_oe)
+        assert np.array_equal(linalg.flip_operator(side), f_i @ f_oe)
+        pair = (d_i, d_o, d_i, d_o)
+        f_io = linalg.swap_factors(pair, 0, 2) @ linalg.swap_factors(pair, 1, 3)
+        assert np.array_equal(linalg.flip_operator(d_i * d_o), f_io)
+
+    def test_cyclic_shift_moves_kets(self):
+        rng = np.random.default_rng(19)
+        a, b, c = (random_complex(rng, 2, 1).ravel() for _ in range(3))
+        p = linalg.permute_factors((2, 2, 2), (1, 2, 0))
+        assert_allclose(p @ np.kron(a, np.kron(b, c)), np.kron(b, np.kron(c, a)))
+
+    def test_rejects_bad_permutations(self):
+        with pytest.raises(InvalidDims):
+            linalg.permute_factors((2, 3), (1, 0))
+        with pytest.raises(InvalidDims):
+            linalg.permute_factors((2, 2), (0, 0))
+        with pytest.raises(InvalidDims):
+            linalg.permute_factors((2, 2, 2), (1, 0))
+
+
 class TestCompleteElliptic:
     def test_zero_parameter(self):
         k, e = linalg.complete_elliptic(0.0)

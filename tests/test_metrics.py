@@ -333,6 +333,26 @@ class TestSecondMoment:
         sym_projector = (np.eye(4) + f) / 2
         assert_allclose(got, sym_projector * 2 / (4 + 2), atol=1e-12)
 
+    @pytest.mark.parametrize("dims", [(1, 2, 2), (2, 2, 2), (2, 3, 1)])
+    def test_closed_forms_match_swap_products(self, dims):
+        # The two-moment identity written with matmul products of factor swaps.
+        d_i, d_o, d_e = dims
+        spec = EnsembleSpec(d_i, d_o, d_e)
+        big = d_o * d_e
+        six = (d_i, d_o, d_e, d_i, d_o, d_e)
+        f_i = linalg.swap_factors(six, 0, 3)
+        f_oe = linalg.swap_factors(six, 1, 4) @ linalg.swap_factors(six, 2, 5)
+        eye = np.eye(len(f_i))
+        want = (eye + f_i @ f_oe) / (big**2 - 1) - (f_i + f_oe) / (big * (big**2 - 1))
+        assert np.array_equal(second_moment_closed_form(spec), want)
+        four = (d_i, d_o, d_i, d_o)
+        f_i = linalg.swap_factors(four, 0, 2)
+        f_o = linalg.swap_factors(four, 1, 3)
+        eye = np.eye(len(f_i))
+        lead = (d_e**2 * eye + d_e * f_i @ f_o) / (big**2 - 1)
+        sub = (d_e**2 * f_i + d_e * f_o) / (big * (big**2 - 1))
+        assert np.array_equal(channel_pair_moment_closed_form(spec), lead - sub)
+
     def test_closed_form_trace(self):
         spec = EnsembleSpec(2, 2, 2, seed=102)
         cf = second_moment_closed_form(spec)
