@@ -19,10 +19,11 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
-from . import __version__, metrics, theory
+from . import __version__, ensembles, metrics, theory
 from .ensembles import EnsembleSpec, mp_atom, mp_cdf, mp_density, mp_support
 from .errors import PurifyLabError
 from .fixtures import run_fixtures
@@ -162,37 +163,29 @@ def _comments(cmd: str, vals: dict, extra: dict | None = None) -> dict:
 CHECKS = ("purity", "dep-constant", "avg-ue", "separable-pure", "moment-identity",
           "second-moment")
 DEFAULT_CHECKS = CHECKS[:-1]  # second-moment is opt-in (heavier sample cost)
+# check -> strategy whose mean is tested against its closed form at 3 sigma
+_CLOSED_FORM_CHECKS = {"avg-ue": "avg-ue", "separable-pure": "pure:separable"}
 
 
 def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
-    d_i, d_o, d_e = spec.dims
     if name == "purity":
         rep = estimate_moments(spec, n, "purity", workers=workers)
-        expect = theory.avg_purity(d_i, d_o, d_e)
+        expect = theory.avg_purity(*spec.dims)
         tol = 3 * float(rep.stderr[0]) + 1e-12
         return expect, rep.value, tol, abs(rep.value - expect) <= tol
     if name == "dep-constant":
         rep = estimate_average_error(
             parse_strategy("dep", spec), spec, n, workers=workers, keep_per_sample=True
         )
-        expect = theory.eps_dep(d_i, d_o, d_e)
+        expect = rep.closed_form
         spread = float(np.ptp(rep.per_sample))
         ok = spread == 0.0 and abs(rep.mean - expect) < 1e-9 and rep.stderr == 0.0
         return expect, rep.mean, 1e-9, ok
-    if name == "avg-ue":
-        rep = estimate_average_error(
-            parse_strategy("avg-ue", spec), spec, n, workers=workers
-        )
-        expect = theory.eps_avg_ue(d_i, d_o, d_e)
+    if name in _CLOSED_FORM_CHECKS:
+        strat = parse_strategy(_CLOSED_FORM_CHECKS[name], spec)
+        rep = estimate_average_error(strat, spec, n, workers=workers)
         tol = 3 * rep.stderr + 1e-12
-        return expect, rep.mean, tol, abs(rep.mean - expect) <= tol
-    if name == "separable-pure":
-        rep = estimate_average_error(
-            parse_strategy("pure:separable", spec), spec, n, workers=workers
-        )
-        expect = theory.eps_separable_pure_output(d_i, d_o)
-        tol = 3 * rep.stderr + 1e-12
-        return expect, rep.mean, tol, abs(rep.mean - expect) <= tol
+        return rep.closed_form, rep.mean, tol, abs(rep.mean - rep.closed_form) <= tol
     if name == "moment-identity":
         ordered = estimate_moments(spec, n, "ordered_eig_sq", workers=workers)
         purity = estimate_moments(spec, n, "purity", workers=workers)
@@ -267,6 +260,12 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _spectrum_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+    """Eigenvalues of d_O C for channel draws [lo, hi), one row per draw."""
+    chois = ensembles._choi_bank(spec, lo, hi, ensembles.PURPOSE_SAMPLE)
+    return np.linalg.eigvalsh(chois) * spec.d_o
+
+
 def cmd_spectrum(args) -> int:
     vals = _common_values(args)
     bins = args.bins if args.bins is not None else 40
@@ -277,13 +276,8 @@ def cmd_spectrum(args) -> int:
     spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
     c_ratio = spec.d_i * spec.d_o / spec.d_e
 
-    from .ensembles import sample_choi
-
-    pooled = []
-    for i in range(draws):
-        c, _ = sample_choi(spec, spec.stream(i))
-        pooled.append(np.linalg.eigvalsh(c.matrix) * spec.d_o)
-    eigs = np.sort(np.maximum(np.concatenate(pooled), 0.0))
+    chunks = metrics._chunk_map(partial(_spectrum_chunk, spec), draws, vals["workers"])
+    eigs = np.sort(np.maximum(np.concatenate(list(chunks), axis=None), 0.0))
 
     _, hi = mp_support(c_ratio)
     top = max(hi, float(eigs[-1])) * 1.02

@@ -131,24 +131,19 @@ def _as_generator(rs: RandomStream | np.random.Generator) -> np.random.Generator
     return rs.generator()
 
 
+def _complex_normals(z: np.ndarray) -> np.ndarray:
+    """Ginibre entries from standard normals whose last axis holds (Re, Im)."""
+    # each trailing pair read in place as one complex128
+    return z.view(complex)[..., 0] / math.sqrt(2.0)
+
+
 def sample_ginibre(
     rows: int, cols: int, rs: RandomStream | np.random.Generator
 ) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. entries with Re, Im ~ N(0, 1/2)."""
     if rows < 1 or cols < 1:
         raise InvalidDims("Ginibre dimensions must be >= 1")
-    rng = _as_generator(rs)
-    z = rng.standard_normal((rows, cols, 2))
-    # each trailing (Re, Im) pair read in place as one complex128
-    return z.view(complex)[..., 0] / math.sqrt(2.0)
-
-
-def _polar_isometry(g: np.ndarray) -> np.ndarray:
-    """Polar factor G (G†G)^(-1/2); Haar on the Stiefel manifold for Ginibre G."""
-    h = g.conj().T @ g
-    vals, vecs = np.linalg.eigh(h)
-    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return g @ inv_root
+    return _complex_normals(_as_generator(rs).standard_normal((rows, cols, 2)))
 
 
 def sample_haar_isometry(
@@ -157,7 +152,8 @@ def sample_haar_isometry(
     """Haar-random isometry V (d_out x d_in) with V†V = 1."""
     if d_out < d_in:
         raise InvalidDims(f"isometry needs d_out >= d_in, got {d_out} < {d_in}")
-    return _polar_isometry(sample_ginibre(d_out, d_in, rs))
+    # a batch of one through the bank's kernel, so the bits match the bank
+    return _polar_batch(sample_ginibre(d_out, d_in, rs)[None])[0]
 
 
 def sample_haar_unitary(d: int, rs: RandomStream | np.random.Generator) -> np.ndarray:
@@ -167,6 +163,9 @@ def sample_haar_unitary(d: int, rs: RandomStream | np.random.Generator) -> np.nd
 
 def _polar_batch(g: np.ndarray) -> np.ndarray:
     """Polar factors G (G†G)^(-1/2) of a stack of full-column-rank matrices.
+
+    Haar on the Stiefel manifold for Ginibre G; every Haar draw in the
+    package, single or batched, goes through this kernel.
 
     Raises :class:`SingularNormalizer` when some G†G has its smallest
     eigenvalue at or below 1e-14 times its largest.
@@ -182,9 +181,7 @@ def _polar_batch(g: np.ndarray) -> np.ndarray:
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, drawn in one pass."""
-    z = rng.standard_normal((count, d, d, 2))
-    g = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-    return _polar_batch(g)
+    return _polar_batch(_complex_normals(rng.standard_normal((count, d, d, 2))))
 
 
 def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:

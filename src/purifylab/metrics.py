@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import theory
 from .channels import ChoiOperator, PurificationVector
 from .ensembles import (
     EnsembleSpec,
@@ -178,7 +179,7 @@ def error_append(c: ChoiOperator, rho_e: np.ndarray) -> float:
 
 def error_map_to_depolarizing(d_i: int, d_o: int, d_e: int) -> float:
     """Constant per-sample error of the map-to-depolarizing machine."""
-    return d_i**2 - d_i / (d_o * d_e)
+    return theory.eps_dep(d_i, d_o, d_e)
 
 
 def error_avg_env_unitary(c: ChoiOperator, d_e: int) -> float:
@@ -407,11 +408,10 @@ def _moment_chunk(spec: EnsembleSpec, which: str, purpose: int, lo: int, hi: int
         return (np.sum(np.sqrt(vals), axis=1) ** 2)[:, None]
     if which == "cmax_sq":
         return (vals[:, -1] ** 2)[:, None]
-    if which == "ordered_eig_sq":
-        r = min(spec.d_e, spec.d_i * spec.d_o)
-        desc = vals[:, ::-1]
-        return desc[:, :r] ** 2
-    raise InvalidDims(f"unknown moment {which!r}; expected one of {_MOMENT_NAMES}")
+    # ordered_eig_sq; estimate_moments rejects any other name before drawing
+    r = min(spec.d_e, spec.d_i * spec.d_o)
+    desc = vals[:, ::-1]
+    return desc[:, :r] ** 2
 
 
 def estimate_moments(
@@ -430,6 +430,8 @@ def estimate_moments(
     """
     if n < 2:
         raise InvalidDims("moment estimation needs n >= 2")
+    if which not in _MOMENT_NAMES:
+        raise InvalidDims(f"unknown moment {which!r}; expected one of {_MOMENT_NAMES}")
     chunks = _chunk_map(partial(_moment_chunk, spec, which, purpose), n, workers)
     samples = np.concatenate(list(chunks), axis=0)
     values = samples.mean(axis=0)

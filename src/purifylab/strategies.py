@@ -45,7 +45,7 @@ from .ensembles import (
     sample_haar_unitary,
 )
 from .errors import InvalidDims, InvalidWeights
-from .linalg import floor_eigenvalues, hermitianize, psd_sqrt, trace_norm
+from .linalg import floor_eigenvalues, hermitianize, psd_sqrt
 
 __all__ = [
     "PureOutput",
@@ -85,24 +85,27 @@ def _clip_errors(err, d_i: int):
     return np.clip(err, 0.0, 2.0 * d_i**2)
 
 
+class _BankScored:
+    """Machines scored by ``errors(d_i, chois)`` on chunks of the sample bank."""
+
+    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+        return self.errors(spec.d_i, _choi_bank(spec, lo, hi, PURPOSE_SAMPLE))
+
+
 def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
     """Exact orbit-minimized error of a fixed pure output against channel c.
 
-    By the Uhlmann relation the best overlap with a purification of c is
-    the fidelity of the marginals, so the error is
-    2 d_i^2 - 2 ||sqrt(C) sqrt(tr_E |w><w|)||_1^2.
-    Depends on w only through its marginal; environments of different size
-    need no explicit embedding.
+    A batch of one through :meth:`PureOutput.errors`.  Depends on w only
+    through its marginal; environments of different size need no explicit
+    embedding.
     """
     if (c.d_i, c.d_o) != (w.d_i, w.d_o):
         raise InvalidDims("channel and pure output dims differ")
-    m_w = w.marginal_choi().matrix
-    overlap = trace_norm(psd_sqrt(c.matrix) @ psd_sqrt(m_w)) ** 2
-    return float(_clip_errors(2.0 * c.d_i**2 - 2.0 * overlap, c.d_i))
+    return float(PureOutput(w).errors(c.d_i, c.matrix[None])[0])
 
 
 @dataclass(frozen=True)
-class PureOutput:
+class PureOutput(_BankScored):
     """Emit the fixed pure Choi operator |w><w| regardless of the input."""
 
     w: PurificationVector
@@ -113,15 +116,19 @@ class PureOutput:
             raise InvalidDims("pure output dims do not match the input channel")
         return self.w.projector()
 
-    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-        """Batched Uhlmann route of :func:`error_pure_output`."""
-        chois = _choi_bank(spec, lo, hi, PURPOSE_SAMPLE)
+    def errors(self, d_i: int, chois: np.ndarray) -> np.ndarray:
+        """Exact errors against a stack of Choi matrices.
+
+        By the Uhlmann relation the best overlap with a purification of C
+        is the fidelity of the marginals, so the error is
+        2 d_i^2 - 2 ||sqrt(C) sqrt(tr_E |w><w|)||_1^2.
+        """
         sqrt_w = psd_sqrt(self.w.marginal_choi().matrix)
         vals, vecs = np.linalg.eigh(chois)
         root = np.sqrt(floor_eigenvalues(vals))
         sqrt_c = np.einsum("bij,bj,bkj->bik", vecs, root, vecs.conj())
         overlap = np.linalg.svd(sqrt_c @ sqrt_w, compute_uv=False).sum(axis=1) ** 2
-        return _clip_errors(2.0 * spec.d_i**2 - 2.0 * overlap, spec.d_i)
+        return _clip_errors(2.0 * d_i**2 - 2.0 * overlap, d_i)
 
     def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
         # A separable output, or any output against isometric inputs, has
@@ -132,7 +139,7 @@ class PureOutput:
 
 
 @dataclass(frozen=True)
-class Append:
+class Append(_BankScored):
     """Append an environment state of the given spectrum to the unchanged input.
 
     The orbit minimum depends on the appended state only through its
@@ -163,9 +170,6 @@ class Append:
         pair = (cvals[:, :k] ** 2) @ lam[:k]
         return _clip_errors(d_i**2 + purity * float(np.sum(lam**2)) - 2.0 * pair, d_i)
 
-    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-        return self.errors(spec.d_i, _choi_bank(spec, lo, hi, PURPOSE_SAMPLE))
-
     def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
         # The maximally mixed state commutes with every environment unitary,
         # so its orbit minimum is the environment average.
@@ -193,7 +197,7 @@ class MapToDepolarizing:
 
 
 @dataclass(frozen=True)
-class AverageEnvUnitary:
+class AverageEnvUnitary(_BankScored):
     """Append-maximally-mixed machine, scored by the average over environment
     unitaries rather than the orbit minimum: d_i^2 - tr(C^2) / d_e."""
 
@@ -207,9 +211,6 @@ class AverageEnvUnitary:
         """Per-sample averaged objective against a stack of Choi matrices."""
         purities = np.einsum("bij,bij->b", chois.conj(), chois).real
         return _clip_errors(d_i**2 - purities / self.d_e, d_i)
-
-    def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-        return self.errors(spec.d_i, _choi_bank(spec, lo, hi, PURPOSE_SAMPLE))
 
     def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
         return theory.eps_avg_ue(*spec.dims)

@@ -158,6 +158,26 @@ class TestSpectrum:
         assert "# draws=10" in header
         assert not any(ln.startswith("# n=") for ln in header)
 
+    def test_workers_open_a_pool_and_keep_the_body(self, tmp_path, monkeypatch):
+        from purifylab import metrics
+
+        opened = []
+
+        class CountingPool(metrics.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", CountingPool)
+        base = ["spectrum", "--di", "2", "--do", "2", "--de", "3", "--seed", "4",
+                "--draws", "1100"]
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert run_cli(base + ["--workers", "1", "--out", str(out1)]) == 0
+        assert opened == []
+        assert run_cli(base + ["--workers", "2", "--out", str(out2)]) == 0
+        assert opened == [2]
+        assert body_lines(out1) == body_lines(out2)
+
     def test_balanced_case_tracks_mp_reference(self, tmp_path):
         out = tmp_path / "spec16.csv"
         code = run_cli([

@@ -104,6 +104,14 @@ class TestStreamContract:
         want = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
         assert np.array_equal(ensembles.sample_ginibre(*shape, stream), want)
 
+    @pytest.mark.parametrize("d, count", [(1, 1), (2, 4), (4, 64)])
+    def test_haar_batch_matches_split_formula(self, d, count):
+        stream = RandomStream(20245, 12)
+        z = stream.generator().standard_normal((count, d, d, 2))
+        want = ensembles._polar_batch((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
+        got = ensembles.haar_unitaries_batch(d, count, stream.generator())
+        assert np.array_equal(got, want)
+
 
 class TestPolarBatch:
     def test_isometries(self):
@@ -183,6 +191,19 @@ class TestHaarIsometry:
 
 
 class TestSampleChoi:
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 1), (2, 2, 3), (1, 2, 2), (2, 3, 5), (4, 4, 16)]
+    )
+    def test_single_draw_is_bank_row(self, dims):
+        # sample i is one channel, bit for bit, drawn alone or in a chunk
+        spec = EnsembleSpec(*dims, seed=21)
+        chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
+        vmats = ensembles._vmat_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
+        for i in range(0, 500, 10):
+            c, v = ensembles.sample_choi(spec, spec.stream(i))
+            assert np.array_equal(c.matrix, chois[i])
+            assert np.array_equal(v.as_matrix(), vmats[i])
+
     def test_isometric_case_rank_one(self):
         spec = EnsembleSpec(2, 3, 1, seed=5)
         c, v = ensembles.sample_choi(spec, spec.stream(0))

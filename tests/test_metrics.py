@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from purifylab import linalg, theory
+from purifylab import metrics as metrics_module
 from purifylab.channels import (
     embed_env,
     identity_isometry_purification,
@@ -88,6 +89,38 @@ class TestErrorPureOutput:
         rep = estimate_average_error(parse_strategy("pure:separable", spec), spec, 3000)
         assert rep.closed_form == pytest.approx(6.0)
         assert abs(rep.mean - 6.0) < 4 * rep.stderr
+
+
+class TestSingleSampleRoutes:
+    """Each error_* route is a batch of one through its machine's kernel."""
+
+    DIMS = [(2, 2, 1), (2, 2, 3), (1, 2, 2), (2, 3, 5)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("text", ["pure:omega", "pure:random", "pure:separable", "avg-ue"])
+    def test_rows_bit_identical(self, dims, text):
+        spec = EnsembleSpec(*dims, seed=33)
+        strat = parse_strategy(text, spec)
+        rows = strat.chunk_errors(spec, 0, 100)
+        for i in range(0, 100, 2):
+            c, _ = sampled(spec, i)
+            if text == "avg-ue":
+                single = error_avg_env_unitary(c, spec.d_e)
+            else:
+                single = error_pure_output(c, strat.w)
+            assert np.array_equal(single, rows[i])
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("text", ["append:maxmixed", "append:optimal", "append:pure"])
+    def test_append_rows(self, dims, text):
+        # error_append sums rows by matrix-vector product, the chunk by
+        # matrix-matrix product, so the last bits may differ
+        spec = EnsembleSpec(*dims, seed=34)
+        strat = make_strategy(text, spec, n_weights=500)
+        rows = strat.chunk_errors(spec, 0, 100)
+        single = [error_append(sampled(spec, i)[0], np.diag(strat.spectrum))
+                  for i in range(0, 100, 2)]
+        assert_allclose(single, rows[::2], rtol=1e-14, atol=1e-14)
 
 
 class TestErrorAppend:
@@ -308,6 +341,16 @@ class TestMoments:
         spec = EnsembleSpec(2, 2, 2, seed=94)
         rep = estimate_moments(spec, 2000, "cmax_sq")
         assert 1 / 4 <= rep.value <= 4.0
+
+    def test_unknown_moment_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample bank for an unknown moment")
+
+        monkeypatch.setattr(metrics_module, "_choi_bank", no_draw)
+        spec = EnsembleSpec(2, 2, 2, seed=97)
+        for workers in (1, 2):
+            with pytest.raises(InvalidDims, match="unknown moment"):
+                estimate_moments(spec, 2000, "bogus", workers=workers)
 
     def test_ordered_weights_are_descending(self):
         spec = EnsembleSpec(2, 2, 4, seed=95)
