@@ -111,6 +111,16 @@ def _parse_de_range(text: str) -> list[int]:
     return [val]
 
 
+def _single_de(cmd: str, text: str) -> int:
+    """The one environment dimension of a command that takes no range."""
+    if ".." in text:
+        raise PurifyLabError(
+            f"{cmd} takes one environment dimension, not the range {text!r}; "
+            "use sweep for a range"
+        )
+    return _parse_de_range(text)[0]
+
+
 def _add_common(p: argparse.ArgumentParser, *, de_help="environment dimension"):
     p.add_argument("--di", type=int, default=None, help="input dimension")
     p.add_argument("--do", type=int, default=None, help="output dimension")
@@ -201,7 +211,7 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
 
 def cmd_validate(args) -> int:
     vals = _common_values(args)
-    d_e = _parse_de_range(vals["de"])[0]
+    d_e = _single_de("validate", vals["de"])
     spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
     names = [args.check] if args.check else list(DEFAULT_CHECKS)
     rows = []
@@ -272,7 +282,7 @@ def cmd_spectrum(args) -> int:
     if bins < 10:
         raise PurifyLabError("spectrum needs at least 10 bins")
     draws = args.draws if args.draws is not None else 200
-    d_e = _parse_de_range(vals["de"])[0]
+    d_e = _single_de("spectrum", vals["de"])
     spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
     c_ratio = spec.d_i * spec.d_o / spec.d_e
 
@@ -324,7 +334,7 @@ def cmd_tomo_scaling(args) -> int:
     ks = [int(x) for x in args.k.split(",") if x]
     if len(ks) < 3 or max(ks) < 16 * min(ks):
         raise PurifyLabError("need >= 3 copy budgets spanning a >= 16x range")
-    d_e = _parse_de_range(vals["de"])[0]
+    d_e = _single_de("tomo-scaling", vals["de"])
     spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
     rows = []
     means = []

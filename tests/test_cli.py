@@ -61,6 +61,23 @@ class TestValidate:
         assert run_cli(["no-such-command"]) == 2
 
 
+class TestSingleEnvironment:
+    # Only sweep runs over a range; the others take one d_E and echo it.
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--n", "100", "--check", "purity"],
+        ["spectrum", "--draws", "20", "--bins", "10"],
+        ["tomo-scaling", "--n", "3", "--k", "8,32,128"],
+    ])
+    def test_range_rejected_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        base = argv + ["--di", "2", "--do", "2", "--seed", "1", "--out", str(out)]
+        assert run_cli(base + ["--de", "2..5"]) == 2
+        assert "not the range '2..5'" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(base + ["--de", "2"]) == 0
+        assert "# de=2" in out.read_text().splitlines()
+
+
 class TestSweep:
     def test_row_count_and_closed_forms(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -10,7 +10,13 @@ from purifylab.channels import (
     max_entangled_purification,
     separable_purification,
 )
-from purifylab.ensembles import EnsembleSpec, RandomStream, sample_choi
+from purifylab.ensembles import (
+    PURPOSE_SAMPLE,
+    EnsembleSpec,
+    RandomStream,
+    _vmat_bank,
+    sample_choi,
+)
 from purifylab.errors import InvalidDims, TooLarge
 from purifylab.metrics import (
     ErrorReport,
@@ -366,7 +372,39 @@ class TestMoments:
         assert np.all(np.diff(lam) <= 0)
 
 
+def full_column_second_moment(spec, n):
+    """Reference accumulator: (v x v)(v x v)† over all side^2 columns.
+
+    Chunks of ``metrics._CHUNK`` draws summed in index order, then divided
+    by n: the arithmetic the Sym^2 accumulator must reproduce bit for bit.
+    """
+    acc = None
+    for lo in range(0, n, metrics_module._CHUNK):
+        hi = min(lo + metrics_module._CHUNK, n)
+        vecs = _vmat_bank(spec, lo, hi, PURPOSE_SAMPLE).reshape(hi - lo, -1)
+        pairs = np.einsum("bi,bj->bij", vecs, vecs).reshape(hi - lo, -1)
+        part = np.einsum("bi,bj->ij", pairs, pairs.conj())
+        acc = part if acc is None else acc + part
+    return acc / n
+
+
 class TestSecondMoment:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "dims, n", [((2, 2, 2), 1300), ((1, 2, 3), 700), ((2, 3, 2), 600), ((2, 2, 4), 1100)]
+    )
+    def test_matches_full_column_oracle(self, dims, n, workers):
+        spec = EnsembleSpec(*dims, seed=110)
+        got = second_moment_operator(spec, n, workers=workers)
+        assert np.array_equal(got, full_column_second_moment(spec, n))
+
+    def test_symmetric_pairs_index_maps(self):
+        kept, full = metrics_module._symmetric_pairs(3)
+        assert kept.tolist() == [0, 1, 2, 4, 5, 8]  # (i, j) with i <= j
+        assert full.tolist() == [0, 1, 2, 1, 3, 4, 2, 4, 5]
+        i, j = np.indices((3, 3)).reshape(2, -1)
+        assert np.array_equal(kept[full], np.minimum(i, j) * 3 + np.maximum(i, j))
+
     def test_pure_state_two_design(self):
         # At (1, 2, 1) the exact two-copy average is the symmetric projector
         # scaled by 2 / (D^2 + D) with D = 2.

@@ -1,12 +1,21 @@
-"""Property tests of the per-sample error routes over small random dimensions."""
+"""Property tests of the estimators and the CLI over small random dimensions."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from purifylab.channels import apply_env_unitary
+from purifylab.cli import main
 from purifylab.ensembles import PURPOSE_FIXED, EnsembleSpec, sample_choi
-from purifylab.metrics import error_pure_output, make_strategy, per_sample_errors
+from purifylab.metrics import (
+    error_pure_output,
+    make_strategy,
+    per_sample_errors,
+    second_moment_operator,
+)
 
 SPECTRAL_TEXTS = (
     "pure:omega",
@@ -85,3 +94,48 @@ def test_pure_output_error_ignores_env_unitary(spec, index, d_e_w, data):
     u = data.draw(unitaries(d_e_w))
     got = error_pure_output(c, apply_env_unitary(w, u))
     assert abs(got - error_pure_output(c, w)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(spec=specs(), n=st.integers(1, 1100))
+def test_second_moment_symmetries(spec, n):
+    # v x v lies in Sym^2: swapping the two copies on either side leaves the
+    # average unchanged, exactly, which is what lets the accumulator keep
+    # only the i <= j columns.
+    side = spec.d_i * spec.d_o * spec.d_e
+    assume(side <= 12)
+    op = second_moment_operator(spec, n)
+    t = op.reshape(side, side, side, side)
+    assert np.array_equal(t.transpose(1, 0, 2, 3), t)
+    assert np.array_equal(t.transpose(0, 1, 3, 2), t)
+    assert np.array_equal(op, op.conj().T)
+    # tr(|V><V| x |V><V|) = <V|V>^2 = d_i^2
+    assert abs(np.trace(op) - spec.d_i**2) <= 1e-12
+
+
+def _csv_body(argv, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        code = main(argv + ["--workers", str(workers), "--out", str(out)])
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    return code, "".join(ln for ln in lines if not ln.startswith("#"))
+
+
+@settings(max_examples=5, deadline=None, database=None)
+@given(
+    spec=specs(),
+    n=st.integers(513, 1100),
+    texts=st.lists(st.sampled_from(SPECTRAL_TEXTS), min_size=2, max_size=2, unique=True),
+)
+def test_csv_body_identical_across_workers(spec, n, texts):
+    # n > 512 gives at least two chunks, so --workers 2 runs the pool path.
+    assume(spec.d_o >= spec.d_i or "pure:separable" not in texts)
+    dims = ["--di", str(spec.d_i), "--do", str(spec.d_o), "--n", str(n),
+            "--seed", str(spec.seed)]
+    validate = ["validate", "--de", str(spec.d_e), "--check", "second-moment"] + dims
+    sweep = ["sweep", "--de", f"{spec.d_e}..{spec.d_e + 1}",
+             "--strategies", ",".join(texts)] + dims
+    for argv in (validate, sweep):
+        code, body = _csv_body(argv, 1)
+        assert code in (0, 1)
+        assert _csv_body(argv, 2) == (code, body)
