@@ -29,7 +29,6 @@ from .ensembles import (
 )
 from .metrics import (
     ErrorReport,
-    OrbitOptOptions,
     error_append,
     error_orbit_numeric,
     error_pure_output,
@@ -40,6 +39,6 @@ from .metrics import (
     second_moment_closed_form,
     second_moment_operator,
 )
-from .strategies import Strategy, apply, parse_strategy, tomography_estimate
+from .strategies import Strategy, parse_strategy, tomography_estimate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,6 +32,7 @@ __all__ = [
     "PurificationVector",
     "KrausSet",
     "choi_from_kraus",
+    "choi_vector",
     "kraus_from_choi",
     "stinespring_from_choi",
     "apply_env_unitary",
@@ -88,18 +89,15 @@ class ChoiOperator:
             raise NotTracePreserving("tr_O C deviates from the identity")
         return self
 
-    def normalized(self) -> np.ndarray:
-        """Density-matrix normalization C / d_i (used inside fidelities)."""
-        return self.matrix / self.d_i
-
     def eigenvalues_desc(self) -> np.ndarray:
         vals, _ = herm_eig(self.matrix)
         return vals
 
-    def rank(self, tol: float = RANK_TOL) -> int:
+    def rank(self) -> int:
+        """Number of eigenvalues above RANK_TOL times the largest."""
         vals = np.linalg.eigvalsh(linalg.hermitianize(self.matrix))
         top = max(float(vals.max()), 1e-300)
-        return int(np.sum(vals > tol * top))
+        return int(np.sum(vals > RANK_TOL * top))
 
     def purity(self) -> float:
         """tr(C^2)."""
@@ -194,15 +192,18 @@ class KrausSet:
         acc = sum(dagger(k) @ k for k in self.operators)
         return float(np.max(np.abs(acc - np.eye(self.d_i))))
 
-    def validate(self, atol: float = TP_ATOL) -> "KrausSet":
-        if self.completeness_defect() > atol:
+    def validate(self) -> "KrausSet":
+        if self.completeness_defect() > TP_ATOL:
             raise NotTracePreserving("Kraus completeness relation violated")
         return self
 
 
-def _choi_vec_of_operator(k: np.ndarray) -> np.ndarray:
-    """|K> = sum_i |i> x K|i>, flattened with the input index major."""
-    return np.ascontiguousarray(k.T).reshape(-1)
+def choi_vector(k: np.ndarray) -> np.ndarray:
+    """|K> = sum_i |i> x K|i>, flattened with the input index major.
+
+    Over the last two axes, so a stack of operators gives a stack of vectors.
+    """
+    return np.ascontiguousarray(np.swapaxes(k, -1, -2)).reshape(*k.shape[:-2], -1)
 
 
 def choi_from_kraus(kraus: KrausSet) -> ChoiOperator:
@@ -211,22 +212,22 @@ def choi_from_kraus(kraus: KrausSet) -> ChoiOperator:
     side = kraus.d_i * kraus.d_o
     c = np.zeros((side, side), dtype=complex)
     for k in kraus.operators:
-        v = _choi_vec_of_operator(k)
+        v = choi_vector(k)
         c += np.outer(v, v.conj())
     return ChoiOperator(kraus.d_i, kraus.d_o, c)
 
 
-def kraus_from_choi(c: ChoiOperator, tol: float = RANK_TOL) -> KrausSet:
+def kraus_from_choi(c: ChoiOperator) -> KrausSet:
     """Kraus operators from the spectral decomposition of the Choi matrix.
 
-    One operator per eigenvalue above ``tol`` (relative to the largest),
-    ordered by descending eigenvalue.
+    One operator per eigenvalue above RANK_TOL times the largest, ordered by
+    descending eigenvalue.
     """
     vals, vecs = herm_eig(c.matrix)
     top = max(float(vals[0]), 1e-300)
     ops = []
     for lam, col in zip(vals, vecs.T):
-        if lam <= tol * top:
+        if lam <= RANK_TOL * top:
             break
         mat = col.reshape(c.d_i, c.d_o)  # index order (i, o)
         ops.append(np.sqrt(lam) * mat.T)
@@ -246,7 +247,7 @@ def stinespring_from_choi(c: ChoiOperator, d_e: int) -> PurificationVector:
         raise EnvironmentTooSmall(f"rank {r} exceeds environment size {d_e}")
     vec = np.zeros((c.d_i * c.d_o, d_e), dtype=complex)
     for e, k in enumerate(kraus.operators):
-        vec[:, e] = _choi_vec_of_operator(k)
+        vec[:, e] = choi_vector(k)
     return PurificationVector(c.d_i, c.d_o, d_e, vec.reshape(-1))
 
 
@@ -292,7 +293,7 @@ def identity_isometry_purification(d_i: int, d_o: int) -> PurificationVector:
     k = np.zeros((d_o, d_i), dtype=complex)
     for i in range(d_i):
         k[i, i] = 1.0
-    vec = _choi_vec_of_operator(k)
+    vec = choi_vector(k)
     return PurificationVector(d_i, d_o, 1, vec)
 
 

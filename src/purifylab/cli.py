@@ -125,13 +125,20 @@ def _add_common(p: argparse.ArgumentParser, *, de_help="environment dimension"):
     p.add_argument("--di", type=int, default=None, help="input dimension")
     p.add_argument("--do", type=int, default=None, help="output dimension")
     p.add_argument("--de", type=str, default=None, help=de_help)
-    p.add_argument("--n", type=int, default=None, help="Monte Carlo samples")
     p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
     p.add_argument("--workers", type=int, default=None, help="parallel workers")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--plot", action="store_true", help="also write an SVG chart")
     p.add_argument("--config", type=str, default=None, help="key=value defaults file")
+
+
+# Registered only on the subcommands that read them, so the others reject them.
+def _add_n(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=int, default=None, help="Monte Carlo samples")
+
+
+def _add_plot(p: argparse.ArgumentParser):
+    p.add_argument("--plot", action="store_true", help="also write an SVG chart")
 
 
 def _common_values(args, *, n_default: int = 2000):
@@ -389,23 +396,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="closed-form agreement checks")
     _add_common(p)
+    _add_n(p)
     p.add_argument("--check", choices=CHECKS, default=None, help="run one named check")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="strategy errors over an environment range")
     _add_common(p, de_help="environment dimension or range a..b")
+    _add_n(p)
+    _add_plot(p)
     p.add_argument("--strategies", type=str, default=None,
                    help=f"comma list (default {DEFAULT_STRATEGIES})")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("spectrum", help="eigenvalue histogram vs MP reference")
     _add_common(p)
+    _add_plot(p)
     p.add_argument("--draws", type=int, default=None, help="channel draws (default 200)")
     p.add_argument("--bins", type=int, default=None, help="histogram bins (default 40)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("tomo-scaling", help="estimation error vs copy budget")
     _add_common(p)
+    _add_n(p)
+    _add_plot(p)
     p.add_argument("--k", type=str, default=None, help="comma list of copy budgets")
     p.set_defaults(func=cmd_tomo_scaling)
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import ChoiOperator, PurificationVector, choi_vector
 from .errors import DomainError, InvalidDims, SingularNormalizer
-from .linalg import partial_trace
+from .linalg import complete_elliptic, partial_trace
 
 __all__ = [
     "EnsembleSpec",
@@ -192,7 +193,7 @@ def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray
     gs = np.empty((count, big, d_i), dtype=complex)
     for j, i in enumerate(range(lo, hi)):
         gs[j] = sample_ginibre(big, d_i, spec.stream(i, purpose))
-    return _polar_batch(gs).transpose(0, 2, 1).reshape(count, d_i * d_o, d_e)
+    return choi_vector(_polar_batch(gs)).reshape(count, d_i * d_o, d_e)
 
 
 def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
@@ -201,22 +202,14 @@ def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray
     return vm @ vm.conj().transpose(0, 2, 1)
 
 
-def choi_vector_from_isometry(v_iso: np.ndarray) -> np.ndarray:
-    """Choi vector sum_i |i> x V|i> of an isometry, flattened in (I, OE) order."""
-    return np.ascontiguousarray(v_iso.T).reshape(-1)
-
-
 def sample_choi(spec: EnsembleSpec, rs: RandomStream | np.random.Generator):
     """Draw one random channel: returns ``(choi, purification)``.
 
     The purification is the Choi vector of a Haar isometry
     d_i -> d_o * d_e; the Choi operator is its environment marginal.
-    Deferred import keeps this module free of a channels dependency cycle.
     """
-    from .channels import PurificationVector
-
     v_iso = sample_haar_isometry(spec.d_i, spec.d_o * spec.d_e, rs)
-    vec = choi_vector_from_isometry(v_iso)
+    vec = choi_vector(v_iso)
     pur = PurificationVector(spec.d_i, spec.d_o, spec.d_e, vec)
     return pur.marginal_choi(), pur
 
@@ -228,8 +221,6 @@ def sample_wishart_choi(spec: EnsembleSpec, rs: RandomStream | np.random.Generat
     preservation with T = tr_O W through (T^(-1/2) x 1) W (T^(-1/2) x 1).
     Same distribution as the marginal of :func:`sample_choi`.
     """
-    from .channels import ChoiOperator
-
     g = sample_ginibre(spec.d_i * spec.d_o, spec.d_e, rs)
     w = g @ g.conj().T
     t = partial_trace(w, (spec.d_i, spec.d_o), keep=(0,))
@@ -305,8 +296,6 @@ def mp_mu(c: float) -> float:
     m = 4 sqrt(c) / (1 + sqrt(c))^2; equals 8 / (3 pi) at c = 1 and tends
     to 1 as c -> 0.
     """
-    from .linalg import complete_elliptic
-
     if not 0.0 < c <= 1.0:
         raise DomainError(f"mp_mu defined for 0 < c <= 1, got {c}")
     s = math.sqrt(c)

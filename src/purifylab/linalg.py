@@ -91,10 +91,10 @@ def partial_trace(
     return reduced.reshape(d_keep, d_keep)
 
 
-def _require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
     _check_square(m)
     scale = max(np.max(np.abs(m)), 1.0)
-    if np.max(np.abs(m - dagger(m))) > tol * scale:
+    if np.max(np.abs(m - dagger(m))) > HERM_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return hermitianize(np.asarray(m, dtype=complex))
 
@@ -113,13 +113,13 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order].real, vecs[:, order]
 
 
-def floor_eigenvalues(vals: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Clamp eigenvalues below floor * max (and negative ones) to exact zero.
+def floor_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues below EIG_FLOOR * max (and negative ones) to exact zero.
 
     Works over the last axis, so a stack of spectra is floored row by row.
     """
     top = np.max(vals, axis=-1, keepdims=True, initial=0.0)
-    return np.maximum(np.where(vals < floor * top, 0.0, vals), 0.0)
+    return np.maximum(np.where(vals < EIG_FLOOR * top, 0.0, vals), 0.0)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

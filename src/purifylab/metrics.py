@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import theory
 from .channels import ChoiOperator, PurificationVector
 from .ensembles import (
     EnsembleSpec,
@@ -47,7 +46,6 @@ from .linalg import (
 )
 from .strategies import (
     Append,
-    AverageEnvUnitary,
     Strategy,
     _clip_errors,
     error_pure_output,
@@ -56,13 +54,10 @@ from .strategies import (
 
 __all__ = [
     "ErrorReport",
-    "OrbitOptOptions",
     "OrbitResult",
     "MomentReport",
     "error_pure_output",
     "error_append",
-    "error_map_to_depolarizing",
-    "error_avg_env_unitary",
     "error_orbit_numeric",
     "orbit_bruteforce",
     "estimate_average_error",
@@ -76,6 +71,16 @@ __all__ = [
 
 ZERO_VARIANCE = 1e-20
 _CHUNK = 512
+
+# Environment-unitary ascent: starting points (the identity plus Haar draws),
+# iteration cap, stationarity tolerance, Armijo slope, backtracking factor and
+# first trial step.
+_RESTARTS = 20
+_MAX_ITERS = 500
+_REL_TOL = 1e-9
+_ARMIJO_SLOPE = 1e-4
+_BACKTRACK = 0.5
+_INITIAL_STEP = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +125,6 @@ class ErrorReport:
 
 
 @dataclass(frozen=True)
-class OrbitOptOptions:
-    """Knobs of the environment-unitary ascent."""
-
-    restarts: int = 20
-    max_iters: int = 500
-    rel_tol: float = 1e-9
-    armijo_slope: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise InvalidDims("orbit optimizer needs at least one restart")
-
-
-@dataclass(frozen=True)
 class OrbitResult:
     error: float
     overlap: float
@@ -177,16 +166,6 @@ def error_append(c: ChoiOperator, rho_e: np.ndarray) -> float:
     return float(Append(lam).errors(c.d_i, hermitianize(c.matrix)[None])[0])
 
 
-def error_map_to_depolarizing(d_i: int, d_o: int, d_e: int) -> float:
-    """Constant per-sample error of the map-to-depolarizing machine."""
-    return theory.eps_dep(d_i, d_o, d_e)
-
-
-def error_avg_env_unitary(c: ChoiOperator, d_e: int) -> float:
-    """Per-sample value of the environment-averaged objective for C x 1/d_e."""
-    return float(AverageEnvUnitary(d_e).errors(c.d_i, c.matrix[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # Orbit optimization (numeric route) and U(2) brute force (oracle)
 # ---------------------------------------------------------------------------
@@ -212,7 +191,7 @@ def _overlap(q: np.ndarray, vmat: np.ndarray, u: np.ndarray) -> tuple[float, np.
 
 
 def _ascend(
-    q: np.ndarray, vmat: np.ndarray, u0: np.ndarray, opts: OrbitOptOptions
+    q: np.ndarray, vmat: np.ndarray, u0: np.ndarray
 ) -> tuple[float, np.ndarray, bool]:
     """Armijo-safeguarded ascent with Barzilai-Borwein trial steps.
 
@@ -223,11 +202,11 @@ def _ascend(
     u = u0
     f, grad = _overlap(q, vmat, u)
     xi = _tangent_project(u, grad)
-    step = opts.initial_step
+    step = _INITIAL_STEP
     converged = False
-    for _ in range(opts.max_iters):
+    for _ in range(_MAX_ITERS):
         slope = float(np.vdot(xi, xi).real)
-        if slope <= opts.rel_tol**2 * max(1.0, abs(f)):
+        if slope <= _REL_TOL**2 * max(1.0, abs(f)):
             converged = True
             break
         improved = False
@@ -235,10 +214,10 @@ def _ascend(
         for _ in range(60):
             trial = _polar_unitary(u + alpha * xi)
             f_trial, grad_trial = _overlap(q, vmat, trial)
-            if f_trial >= f + opts.armijo_slope * alpha * slope:
+            if f_trial >= f + _ARMIJO_SLOPE * alpha * slope:
                 improved = True
                 break
-            alpha *= opts.backtrack
+            alpha *= _BACKTRACK
         if not improved:
             converged = True
             break
@@ -256,7 +235,6 @@ def _ascend(
 def error_orbit_numeric(
     q_out: np.ndarray,
     v: PurificationVector,
-    opts: OrbitOptOptions | None = None,
     rs: RandomStream | np.random.Generator | None = None,
 ) -> OrbitResult:
     """Best-of-restarts Riemannian ascent of the orbit overlap.
@@ -268,7 +246,6 @@ def error_orbit_numeric(
     true orbit minimum that matches the exact routes on the append and
     pure-output families.
     """
-    opts = opts or OrbitOptOptions()
     rng = _as_generator(rs if rs is not None else RandomStream(0, 0))
     q = np.asarray(q_out, dtype=complex)
     side = v.d_i * v.d_o * v.d_e
@@ -286,10 +263,9 @@ def error_orbit_numeric(
     best_u = np.eye(v.d_e, dtype=complex)
     best_conv = False
     starts = [np.eye(v.d_e, dtype=complex)]
-    if opts.restarts > 1:
-        starts.extend(haar_unitaries_batch(v.d_e, opts.restarts - 1, rng))
+    starts.extend(haar_unitaries_batch(v.d_e, _RESTARTS - 1, rng))
     for u0 in starts:
-        f, u, conv = _ascend(q, vmat, u0, opts)
+        f, u, conv = _ascend(q, vmat, u0)
         if f > best_f:
             best_f, best_u, best_conv = f, u, conv
     err = float(_clip_errors(q_purity + v.d_i**2 - 2.0 * best_f, v.d_i))

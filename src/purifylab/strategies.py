@@ -55,7 +55,6 @@ __all__ = [
     "Estimation",
     "Strategy",
     "STRATEGY_GRAMMAR",
-    "apply",
     "error_pure_output",
     "optimal_append_spectrum",
     "tomography_estimate",
@@ -71,7 +70,11 @@ class Strategy(Protocol):
     def output(
         self, c: ChoiOperator, rs: RandomStream | np.random.Generator | None = None
     ) -> np.ndarray:
-        """Machine output Q(C) on the joint A x B x E space."""
+        """Machine output Q(C) on the joint A x B x E space.
+
+        Always a PSD operator of trace d_i.  Only the estimation machine
+        consumes randomness.
+        """
 
     def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
         """Exact orbit-minimized errors for sample indices [lo, hi)."""
@@ -131,9 +134,10 @@ class PureOutput(_BankScored):
         return _clip_errors(2.0 * d_i**2 - 2.0 * overlap, d_i)
 
     def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
-        # A separable output, or any output against isometric inputs, has
-        # average Uhlmann overlap d_i / d_o with the channel.
-        if self.label == "pure:separable" or spec.d_e == 1:
+        # A rank-one marginal is an isometric channel's Choi operator; it, or
+        # any output against isometric inputs, has average Uhlmann overlap
+        # d_i / d_o with the channel.
+        if spec.d_e == 1 or self.w.marginal_choi().rank() == 1:
             return theory.eps_separable_pure_output(spec.d_i, spec.d_o)
         return None
 
@@ -254,19 +258,6 @@ STRATEGY_GRAMMAR = (
 )
 
 
-def apply(
-    strategy: Strategy,
-    c: ChoiOperator,
-    rs: RandomStream | np.random.Generator | None = None,
-) -> np.ndarray:
-    """Machine output Q(C) on the joint A x B x E space.
-
-    Always a PSD operator of trace d_i.  Only the estimation machine
-    consumes randomness.
-    """
-    return strategy.output(c, rs)
-
-
 def optimal_append_spectrum(
     weights, avg_purity: float, *, tol: float = 1e-6
 ) -> np.ndarray:
@@ -379,7 +370,7 @@ def parse_strategy(
         w = np.zeros(spec.d_e)
         got = np.asarray(append_weights, dtype=float)
         w[: got.size] = got[: spec.d_e]
-        return Append(w / w.sum(), label=text)
+        return Append(optimal_append_spectrum(w, w.sum()), label=text)
     if text == "append:pure":
         lam = np.zeros(spec.d_e)
         lam[0] = 1.0

@@ -9,6 +9,7 @@ from purifylab.channels import (
     PurificationVector,
     apply_env_unitary,
     choi_from_kraus,
+    choi_vector,
     depolarizing_choi,
     embed_env,
     identity_isometry_purification,
@@ -60,6 +61,18 @@ class TestChoiFromKraus:
     def test_rejects_incomplete(self):
         with pytest.raises(NotTracePreserving):
             choi_from_kraus(KrausSet(2, 2, (np.eye(2) / 2,)))
+
+
+class TestChoiVector:
+    def test_layout_and_stack(self):
+        # |K> = sum_i |i> x K|i>; a stack gives one such vector per operator
+        rng = np.random.default_rng(3)
+        ks = rng.standard_normal((5, 6, 2)) + 1j * rng.standard_normal((5, 6, 2))
+        stacked = choi_vector(ks)
+        assert stacked.shape == (5, 12)
+        for k, row in zip(ks, stacked):
+            assert np.array_equal(row, np.concatenate([k[:, 0], k[:, 1]]))
+            assert np.array_equal(choi_vector(k), row)
 
 
 class TestKrausFromChoi:

@@ -78,6 +78,25 @@ class TestSingleEnvironment:
         assert "# de=2" in out.read_text().splitlines()
 
 
+class TestUnreadFlags:
+    # a subcommand rejects a flag it would ignore instead of accepting it
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "50", "--draws", "20", "--bins", "10"],
+        ["validate", "--n", "100", "--check", "purity", "--plot"],
+    ])
+    def test_rejected_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--de", "2", "--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_plot_written(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run_cli(["spectrum", "--de", "2", "--draws", "20", "--bins", "10",
+                        "--out", str(out), "--plot"]) == 0
+        assert out.with_suffix(".csv.svg").read_text().startswith("<svg")
+
+
 class TestSweep:
     def test_row_count_and_closed_forms(self, tmp_path):
         out = tmp_path / "sweep.csv"

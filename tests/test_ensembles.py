@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from purifylab import ensembles, linalg
+from purifylab import channels, ensembles, linalg
 from purifylab.ensembles import EnsembleSpec, RandomStream
 from purifylab.errors import DomainError, InvalidDims, SingularNormalizer
 
@@ -182,7 +182,7 @@ class TestHaarIsometry:
             c1, _ = ensembles.sample_choi(spec, spec.stream(i))
             purity_polar[i] = c1.purity()
             viso = qr_haar_isometry(2, 4, rng)
-            vec = ensembles.choi_vector_from_isometry(viso)
+            vec = channels.choi_vector(viso)
             mat = vec.reshape(4, 2)
             purity_qr[i] = np.vdot(mat @ mat.conj().T, mat @ mat.conj().T).real
         gap = abs(purity_polar.mean() - purity_qr.mean())
@@ -257,7 +257,7 @@ class TestSampleChoi:
         for i in range(n):
             viso = ensembles.sample_haar_isometry(2, 4, spec.stream(i))
             for tag, w in (("plain", viso), ("rot", u @ viso)):
-                vec = ensembles.choi_vector_from_isometry(w)
+                vec = channels.choi_vector(w)
                 mat = vec.reshape(4, 2)
                 c = mat @ mat.conj().T
                 if tag == "plain":

@@ -20,10 +20,7 @@ from purifylab.ensembles import (
 from purifylab.errors import InvalidDims, TooLarge
 from purifylab.metrics import (
     ErrorReport,
-    OrbitOptOptions,
     error_append,
-    error_avg_env_unitary,
-    error_map_to_depolarizing,
     error_orbit_numeric,
     error_pure_output,
     estimate_average_error,
@@ -111,7 +108,7 @@ class TestSingleSampleRoutes:
         for i in range(0, 100, 2):
             c, _ = sampled(spec, i)
             if text == "avg-ue":
-                single = error_avg_env_unitary(c, spec.d_e)
+                single = AverageEnvUnitary(spec.d_e).errors(spec.d_i, c.matrix[None])[0]
             else:
                 single = error_pure_output(c, strat.w)
             assert np.array_equal(single, rows[i])
@@ -155,13 +152,16 @@ class TestErrorAppend:
 
 class TestConstantRoutes:
     def test_map_to_depolarizing(self):
-        assert error_map_to_depolarizing(2, 2, 1) == pytest.approx(3.0)
-        assert error_map_to_depolarizing(1, 2, 2) == pytest.approx(0.75)
+        assert theory.eps_dep(2, 2, 1) == pytest.approx(3.0)
+        assert theory.eps_dep(1, 2, 2) == pytest.approx(0.75)
+        rows = MapToDepolarizing(2).chunk_errors(EnsembleSpec(1, 2, 2), 0, 3)
+        assert_allclose(rows, [0.75] * 3)
 
     def test_avg_env_unitary_per_sample(self):
         spec = EnsembleSpec(2, 2, 2, seed=68)
         c, _ = sampled(spec)
-        assert error_avg_env_unitary(c, 2) == pytest.approx(4 - c.purity() / 2)
+        err = AverageEnvUnitary(2).errors(c.d_i, c.matrix[None])[0]
+        assert err == pytest.approx(4 - c.purity() / 2)
 
 
 class TestOrbitNumeric:
@@ -213,10 +213,6 @@ class TestOrbitNumeric:
         res = error_orbit_numeric(q, v, rs=RandomStream(74, 0))
         ident = float(np.vdot(q, q).real) + 4 - 2 * np.vdot(v.vector, q @ v.vector).real
         assert res.error <= ident + 1e-12
-
-    def test_restart_validation(self):
-        with pytest.raises(InvalidDims):
-            OrbitOptOptions(restarts=0)
 
 
 class TestBruteForce:

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from purifylab import ensembles, linalg
-from purifylab.channels import depolarizing_choi, max_entangled_purification
+from purifylab import ensembles, linalg, metrics, theory
+from purifylab.channels import (
+    depolarizing_choi,
+    identity_isometry_purification,
+    max_entangled_purification,
+    separable_purification,
+)
 from purifylab.ensembles import EnsembleSpec, RandomStream
 from purifylab.errors import InvalidDims, InvalidWeights
 from purifylab.strategies import (
     Append,
     MapToDepolarizing,
     PureOutput,
-    apply,
     optimal_append_spectrum,
     parse_strategy,
     tomography_estimate,
@@ -39,7 +43,7 @@ class TestApply:
         spec = EnsembleSpec(2, 2, 2, seed=31)
         strat = parse_strategy(text, spec)
         c, _ = sampled(spec)
-        out = apply(strat, c, spec.stream(0))
+        out = strat.output(c, spec.stream(0))
         assert np.max(np.abs(out - out.conj().T)) < 1e-10
         vals = np.linalg.eigvalsh(linalg.hermitianize(out))
         assert vals.min() >= -1e-10
@@ -48,20 +52,20 @@ class TestApply:
     def test_map_to_depolarizing_value(self):
         spec = EnsembleSpec(2, 2, 2, seed=32)
         c, _ = sampled(spec)
-        out = apply(MapToDepolarizing(2), c)
+        out = MapToDepolarizing(2).output(c)
         assert_allclose(out, np.eye(8) / 4)
         assert np.trace(out).real == pytest.approx(2.0)
 
     def test_append_maxmixed_form(self):
         spec = EnsembleSpec(2, 2, 3, seed=33)
         c, _ = sampled(spec)
-        out = apply(Append(np.full(3, 1 / 3)), c)
+        out = Append(np.full(3, 1 / 3)).output(c)
         assert_allclose(out, np.kron(c.matrix, np.eye(3) / 3), atol=1e-14)
 
     def test_append_marginal_is_input(self):
         spec = EnsembleSpec(2, 2, 2, seed=34)
         c, _ = sampled(spec)
-        out = apply(Append([0.6, 0.4]), c)
+        out = Append([0.6, 0.4]).output(c)
         marg = linalg.partial_trace(out, (4, 2), keep=(0,))
         assert_allclose(marg, c.matrix, atol=1e-14)
 
@@ -70,16 +74,16 @@ class TestApply:
         c1, _ = sampled(spec, 0)
         c2, _ = sampled(spec, 1)
         om = parse_strategy("pure:omega", spec)
-        assert np.array_equal(apply(om, c1), apply(om, c2))
+        assert np.array_equal(om.output(c1), om.output(c2))
         dep = MapToDepolarizing(2)
-        assert np.array_equal(apply(dep, c1), apply(dep, c2))
+        assert np.array_equal(dep.output(c1), dep.output(c2))
 
     def test_dim_mismatch(self):
         spec = EnsembleSpec(2, 2, 2, seed=36)
         c, _ = sampled(spec)
         w = max_entangled_purification(1, 2)
         with pytest.raises(InvalidDims):
-            apply(PureOutput(w), c)
+            PureOutput(w).output(c)
 
 
 class TestOptimalAppendSpectrum:
@@ -189,6 +193,17 @@ class TestParse:
         assert isinstance(s, Append)
         assert_allclose(s.spectrum, [0.75, 0.25])
 
+    def test_append_optimal_goes_through_optimal_spectrum(self):
+        spec = EnsembleSpec(2, 2, 3, seed=55)
+        w = metrics.estimate_ordered_weights(spec, 300)
+        s = parse_strategy("append:optimal", spec, append_weights=w)
+        assert np.array_equal(s.spectrum, w / w.sum())
+        s = parse_strategy("append:optimal", spec, append_weights=[1.8, 0.6])
+        padded = np.array([1.8, 0.6, 0.0])
+        assert np.array_equal(s.spectrum, padded / padded.sum())
+        with pytest.raises(InvalidWeights):
+            parse_strategy("append:optimal", spec, append_weights=[0.2, 0.8])
+
     def test_unknown_rejected(self):
         spec = EnsembleSpec(2, 2, 2, seed=56)
         with pytest.raises(InvalidDims):
@@ -199,3 +214,20 @@ class TestParse:
         for text in ALL_TEXTS:
             s = parse_strategy(text, spec)
             assert s.label == text
+
+
+class TestPureClosedForm:
+    def test_rank_one_marginal_whatever_the_label(self):
+        spec = EnsembleSpec(2, 3, 4, seed=58)
+        ups = identity_isometry_purification(2, 3)
+        s = PureOutput(separable_purification(ups, np.eye(4)[1]))
+        assert s.label == "pure"
+        assert s.closed_form(spec) == theory.eps_separable_pure_output(2, 3)
+
+    @pytest.mark.parametrize("text", ["pure:omega", "pure:random"])
+    def test_higher_rank_marginal_only_on_isometric_inputs(self, text):
+        spec = EnsembleSpec(2, 2, 3, seed=59)
+        s = parse_strategy(text, spec)
+        assert s.closed_form(spec) is None
+        iso = EnsembleSpec(2, 2, 1, seed=59)
+        assert s.closed_form(iso) == theory.eps_separable_pure_output(2, 2)
