@@ -141,8 +141,19 @@ def _add_plot(p: argparse.ArgumentParser):
     p.add_argument("--plot", action="store_true", help="also write an SVG chart")
 
 
+# Keys a --config file may set; each is read only by the subcommands that
+# register its flag, and any other key is rejected.
+_CONFIG_KEYS = ("di", "do", "de", "n", "seed", "workers", "out", "format", "strategies")
+
+
 def _common_values(args, *, n_default: int = 2000):
     cfg = _load_config_file(args.config) if args.config else {}
+    unread = [k for k in cfg if k not in _CONFIG_KEYS or not hasattr(args, k)]
+    if unread:
+        raise PurifyLabError(
+            f"{args.command} does not read config key(s) {', '.join(unread)}; "
+            f"it reads {', '.join(k for k in _CONFIG_KEYS if hasattr(args, k))}"
+        )
     vals = {
         "di": _resolve(args, "di", cfg, int, 2),
         "do": _resolve(args, "do", cfg, int, 2),

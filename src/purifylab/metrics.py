@@ -377,9 +377,10 @@ _MOMENT_NAMES = ("purity", "sqrt_trace_sq", "ordered_eig_sq", "cmax_sq")
 
 def _moment_chunk(spec: EnsembleSpec, which: str, purpose: int, lo: int, hi: int):
     chois = _choi_bank(spec, lo, hi, purpose)
-    vals = floor_eigenvalues(np.linalg.eigvalsh(chois))  # ascending
     if which == "purity":
-        return np.sum(vals**2, axis=1)[:, None]
+        # tr C^2 = ||C||_F^2, the kernel of AverageEnvUnitary.errors
+        return np.einsum("bij,bij->b", chois.conj(), chois).real[:, None]
+    vals = floor_eigenvalues(np.linalg.eigvalsh(chois))  # ascending
     if which == "sqrt_trace_sq":
         return (np.sum(np.sqrt(vals), axis=1) ** 2)[:, None]
     if which == "cmax_sq":

@@ -18,7 +18,7 @@ form where one exists, and its label.  The five families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Protocol
 
 import numpy as np
@@ -45,7 +45,7 @@ from .ensembles import (
     sample_haar_unitary,
 )
 from .errors import InvalidDims, InvalidWeights
-from .linalg import floor_eigenvalues, hermitianize, psd_sqrt
+from .linalg import floor_eigenvalues, hermitianize
 
 __all__ = [
     "PureOutput",
@@ -109,10 +109,22 @@ def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
 
 @dataclass(frozen=True)
 class PureOutput(_BankScored):
-    """Emit the fixed pure Choi operator |w><w| regardless of the input."""
+    """Emit the fixed pure Choi operator |w><w| regardless of the input.
+
+    ``support`` is S = V_r diag(sqrt(mu_r)), the r eigenvectors of the
+    marginal W = tr_E |w><w| whose eigenvalues mu_r survive
+    ``floor_eigenvalues``, so that W = S S†.  It is computed once, here.
+    """
 
     w: PurificationVector
     label: str = "pure"
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        vals, vecs = np.linalg.eigh(self.w.marginal_choi().matrix)
+        vals = floor_eigenvalues(vals)
+        keep = vals > 0.0
+        object.__setattr__(self, "support", vecs[:, keep] * np.sqrt(vals[keep]))
 
     def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
         if (self.w.d_i, self.w.d_o) != (c.d_i, c.d_o):
@@ -124,13 +136,13 @@ class PureOutput(_BankScored):
 
         By the Uhlmann relation the best overlap with a purification of C
         is the fidelity of the marginals, so the error is
-        2 d_i^2 - 2 ||sqrt(C) sqrt(tr_E |w><w|)||_1^2.
+        2 d_i^2 - 2 ||sqrt(C) sqrt(W)||_1^2.  With W = S S† the trace norm
+        is tr sqrt(S† C S), an r x r spectrum per sample: r = 1 for a
+        separable output, d_i d_o for the maximally entangled one.
         """
-        sqrt_w = psd_sqrt(self.w.marginal_choi().matrix)
-        vals, vecs = np.linalg.eigh(chois)
-        root = np.sqrt(floor_eigenvalues(vals))
-        sqrt_c = np.einsum("bij,bj,bkj->bik", vecs, root, vecs.conj())
-        overlap = np.linalg.svd(sqrt_c @ sqrt_w, compute_uv=False).sum(axis=1) ** 2
+        s = self.support
+        vals = floor_eigenvalues(np.linalg.eigvalsh(s.conj().T @ chois @ s))
+        overlap = np.sum(np.sqrt(vals), axis=1) ** 2
         return _clip_errors(2.0 * d_i**2 - 2.0 * overlap, d_i)
 
     def closed_form(self, spec: EnsembleSpec) -> Optional[float]:

@@ -273,6 +273,23 @@ class TestConfigAndEnv:
         run_cli(["sweep", "--config", str(cfg), "--de", "2", "--out", str(out2)])
         assert body_lines(out2)[1].split(",")[0] == "2"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["validate", "--check", "purity", "--n", "50"], "sed=5"),
+            (["spectrum", "--draws", "20", "--bins", "10"], "n=50"),
+        ],
+        ids=["validate-unknown-sed", "spectrum-unread-n"],
+    )
+    def test_unread_key_exit_2(self, tmp_path, capsys, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        key = line.split("=")[0]
+        assert f"config key(s) {key};" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PURIFYLAB_SEED", "4242")
         out = tmp_path / "out.csv"

@@ -9,13 +9,23 @@ from hypothesis import strategies as st
 
 from purifylab.channels import apply_env_unitary
 from purifylab.cli import main
-from purifylab.ensembles import PURPOSE_FIXED, EnsembleSpec, sample_choi
+from purifylab.ensembles import (
+    PURPOSE_FIXED,
+    PURPOSE_SAMPLE,
+    EnsembleSpec,
+    _choi_bank,
+    sample_choi,
+)
+from purifylab.linalg import floor_eigenvalues
 from purifylab.metrics import (
+    _moment_chunk,
     error_pure_output,
     make_strategy,
     per_sample_errors,
     second_moment_operator,
 )
+from purifylab.strategies import PureOutput
+from test_strategies import uhlmann_oracle
 
 SPECTRAL_TEXTS = (
     "pure:omega",
@@ -94,6 +104,32 @@ def test_pure_output_error_ignores_env_unitary(spec, index, d_e_w, data):
     u = data.draw(unitaries(d_e_w))
     got = error_pure_output(c, apply_env_unitary(w, u))
     assert abs(got - error_pure_output(c, w)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(spec=specs(), index=st.integers(0, 2**20), data=st.data())
+def test_support_route_matches_svd_oracle(spec, index, data):
+    # A purification with d_E = rank <= side has a marginal of that rank.
+    side = spec.d_i * spec.d_o
+    rank = data.draw(st.integers(1, side))
+    assume(spec.d_o * rank >= spec.d_i)
+    w_spec = EnsembleSpec(spec.d_i, spec.d_o, rank, seed=spec.seed)
+    _, w = sample_choi(w_spec, w_spec.stream(index, PURPOSE_FIXED))
+    strat = PureOutput(w)
+    assert strat.support.shape == (side, rank)
+    chois = _choi_bank(spec, index, index + 64, PURPOSE_SAMPLE)
+    got = strat.errors(spec.d_i, chois)
+    assert np.max(np.abs(got - uhlmann_oracle(w, spec.d_i, chois))) <= 1e-11
+    assert np.all((got >= 0.0) & (got <= 2 * spec.d_i**2))
+
+
+@PROPERTY_SETTINGS
+@given(spec=specs(), lo=st.integers(0, 2**20))
+def test_frobenius_purity_is_spectral(spec, lo):
+    chois = _choi_bank(spec, lo, lo + 64, PURPOSE_SAMPLE)
+    spectral = np.sum(floor_eigenvalues(np.linalg.eigvalsh(chois)) ** 2, axis=1)
+    frobenius = _moment_chunk(spec, "purity", PURPOSE_SAMPLE, lo, lo + 64)[:, 0]
+    assert np.max(np.abs(frobenius - spectral)) <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -25,6 +25,16 @@ def sampled(spec, i=0):
     return ensembles.sample_choi(spec, spec.stream(i))
 
 
+def uhlmann_oracle(w, d_i, chois):
+    """The former PureOutput.errors: eigh of C, sqrt(C) sqrt(W), then an SVD."""
+    sqrt_w = linalg.psd_sqrt(w.marginal_choi().matrix)
+    vals, vecs = np.linalg.eigh(chois)
+    root = np.sqrt(linalg.floor_eigenvalues(vals))
+    sqrt_c = np.einsum("bij,bj,bkj->bik", vecs, root, vecs.conj())
+    overlap = np.linalg.svd(sqrt_c @ sqrt_w, compute_uv=False).sum(axis=1) ** 2
+    return np.clip(2.0 * d_i**2 - 2.0 * overlap, 0.0, 2.0 * d_i**2)
+
+
 ALL_TEXTS = [
     "pure:omega",
     "pure:separable",
@@ -231,3 +241,40 @@ class TestPureClosedForm:
         assert s.closed_form(spec) is None
         iso = EnsembleSpec(2, 2, 1, seed=59)
         assert s.closed_form(iso) == theory.eps_separable_pure_output(2, 2)
+
+
+ORACLE_DIMS = [(2, 2, 1), (2, 2, 4), (1, 2, 2), (2, 3, 5), (2, 4, 3), (4, 4, 16)]
+
+
+class TestSupportRoute:
+    """PureOutput.errors works on the support of W against the old SVD route."""
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    @pytest.mark.parametrize("text", ["pure:omega", "pure:random", "pure:separable"])
+    def test_matches_svd_oracle(self, dims, text):
+        spec = EnsembleSpec(*dims, seed=60)
+        chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
+        s = parse_strategy(text, spec)
+        got = s.errors(spec.d_i, chois)
+        assert np.max(np.abs(got - uhlmann_oracle(s.w, spec.d_i, chois))) <= 1e-12
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    def test_custom_output_other_environment(self, dims):
+        # W from a wider environment than the channel's; its rank sets r.
+        spec = EnsembleSpec(*dims, seed=61)
+        w_spec = EnsembleSpec(spec.d_i, spec.d_o, spec.d_e + 2, seed=61)
+        _, w = ensembles.sample_choi(w_spec, w_spec.stream(0, ensembles.PURPOSE_FIXED))
+        s = PureOutput(w)
+        assert s.support.shape == (spec.d_i * spec.d_o, w.marginal_choi().rank())
+        chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
+        got = s.errors(spec.d_i, chois)
+        assert np.max(np.abs(got - uhlmann_oracle(w, spec.d_i, chois))) <= 1e-12
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    def test_support_rank(self, dims):
+        spec = EnsembleSpec(*dims, seed=62)
+        side = spec.d_i * spec.d_o
+        assert parse_strategy("pure:separable", spec).support.shape == (side, 1)
+        omega = parse_strategy("pure:omega", spec).support
+        assert omega.shape == (side, side)
+        assert_allclose(omega @ omega.conj().T, np.eye(side) / spec.d_o, atol=1e-15)
