@@ -25,7 +25,7 @@ from .errors import (
     NotUnitary,
 )
 from . import linalg
-from .linalg import dagger, herm_eig, partial_trace
+from .linalg import dagger, herm_eig, partial_trace, psd_factor
 
 __all__ = [
     "ChoiOperator",
@@ -43,8 +43,6 @@ __all__ = [
     "separable_purification",
 ]
 
-RANK_TOL = 1e-10  # relative to the largest eigenvalue
-
 PSD_ATOL = 1e-9
 TP_ATOL = 1e-9
 TRACE_ATOL = 1e-10
@@ -53,6 +51,14 @@ NORM_ATOL = 1e-10
 
 def _complex_vector(v) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(-1)
+
+
+def _re_im(a: np.ndarray) -> list:  # JSON form: [re, im] pairs, row-major
+    return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+
+
+def _from_re_im(pairs) -> np.ndarray:  # the flat complex vector back
+    return np.array([complex(re, im) for re, im in pairs])
 
 
 @dataclass(frozen=True)
@@ -94,29 +100,21 @@ class ChoiOperator:
         return vals
 
     def rank(self) -> int:
-        """Number of eigenvalues above RANK_TOL times the largest."""
-        vals = np.linalg.eigvalsh(linalg.hermitianize(self.matrix))
-        top = max(float(vals.max()), 1e-300)
-        return int(np.sum(vals > RANK_TOL * top))
+        """Column count of ``psd_factor(C)``: eigenvalues above the floor."""
+        return psd_factor(self.matrix).shape[1]
 
     def purity(self) -> float:
         """tr(C^2)."""
         return float(np.vdot(self.matrix, self.matrix).real)
 
     def to_json_dict(self) -> dict:
-        flat = self.matrix.reshape(-1)
-        return {
-            "d_i": self.d_i,
-            "d_o": self.d_o,
-            "re_im": [[float(z.real), float(z.imag)] for z in flat],
-        }
+        return {"d_i": self.d_i, "d_o": self.d_o, "re_im": _re_im(self.matrix)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChoiOperator":
         d_i, d_o = int(data["d_i"]), int(data["d_o"])
         side = d_i * d_o
-        flat = np.array([complex(re, im) for re, im in data["re_im"]])
-        return cls(d_i, d_o, flat.reshape(side, side))
+        return cls(d_i, d_o, _from_re_im(data["re_im"]).reshape(side, side))
 
 
 @dataclass(frozen=True)
@@ -157,17 +155,13 @@ class PurificationVector:
         return ChoiOperator(self.d_i, self.d_o, m @ dagger(m))
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_i": self.d_i,
-            "d_o": self.d_o,
-            "d_e": self.d_e,
-            "re_im": [[float(z.real), float(z.imag)] for z in self.vector],
-        }
+        dims = {"d_i": self.d_i, "d_o": self.d_o, "d_e": self.d_e}
+        return {**dims, "re_im": _re_im(self.vector)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PurificationVector":
-        flat = np.array([complex(re, im) for re, im in data["re_im"]])
-        return cls(int(data["d_i"]), int(data["d_o"]), int(data["d_e"]), flat)
+        dims = (int(data["d_i"]), int(data["d_o"]), int(data["d_e"]))
+        return cls(*dims, _from_re_im(data["re_im"]))
 
 
 @dataclass(frozen=True)
@@ -207,47 +201,38 @@ def choi_vector(k: np.ndarray) -> np.ndarray:
 
 
 def choi_from_kraus(kraus: KrausSet) -> ChoiOperator:
-    """Choi operator sum_k |K_k><K_k| of a channel given by Kraus operators."""
+    """Choi operator S S† of a channel given by Kraus operators, where the
+    columns of S are the Choi vectors |K_k>."""
     kraus.validate()
-    side = kraus.d_i * kraus.d_o
-    c = np.zeros((side, side), dtype=complex)
-    for k in kraus.operators:
-        v = choi_vector(k)
-        c += np.outer(v, v.conj())
-    return ChoiOperator(kraus.d_i, kraus.d_o, c)
+    s = choi_vector(np.stack(kraus.operators)).T
+    return ChoiOperator(kraus.d_i, kraus.d_o, s @ dagger(s))
 
 
 def kraus_from_choi(c: ChoiOperator) -> KrausSet:
-    """Kraus operators from the spectral decomposition of the Choi matrix.
+    """Kraus operators from the columns of ``psd_factor(C)``.
 
-    One operator per eigenvalue above RANK_TOL times the largest, ordered by
-    descending eigenvalue.
+    One operator per eigenvalue above the floor, ordered by descending
+    eigenvalue; column e is the Choi vector of operator e.
     """
-    vals, vecs = herm_eig(c.matrix)
-    top = max(float(vals[0]), 1e-300)
-    ops = []
-    for lam, col in zip(vals, vecs.T):
-        if lam <= RANK_TOL * top:
-            break
-        mat = col.reshape(c.d_i, c.d_o)  # index order (i, o)
-        ops.append(np.sqrt(lam) * mat.T)
-    return KrausSet(c.d_i, c.d_o, tuple(ops))
+    s = psd_factor(c.matrix)
+    ops = s.T.reshape(-1, c.d_i, c.d_o)  # index order (i, o)
+    return KrausSet(c.d_i, c.d_o, tuple(np.swapaxes(ops, 1, 2)))
 
 
 def stinespring_from_choi(c: ChoiOperator, d_e: int) -> PurificationVector:
     """Canonical purification of a Choi operator on an environment of size d_e.
 
-    Requires d_e >= rank(C).  Kraus operators from descending eigenvalues
-    are attached to the computational environment basis, so the output is a
-    deterministic representative of the unitary orbit of purifications.
+    Requires d_e >= rank(C).  The columns of ``psd_factor(C)`` (Kraus
+    operators from descending eigenvalues) fill the computational environment
+    basis, padded with zeros, so the output is a deterministic representative
+    of the unitary orbit of purifications.
     """
-    kraus = kraus_from_choi(c)
-    r = len(kraus.operators)
+    s = psd_factor(c.matrix)
+    r = s.shape[1]
     if d_e < r:
         raise EnvironmentTooSmall(f"rank {r} exceeds environment size {d_e}")
     vec = np.zeros((c.d_i * c.d_o, d_e), dtype=complex)
-    for e, k in enumerate(kraus.operators):
-        vec[:, e] = choi_vector(k)
+    vec[:, :r] = s
     return PurificationVector(c.d_i, c.d_o, d_e, vec.reshape(-1))
 
 

@@ -32,6 +32,7 @@ from .strategies import parse_strategy
 from . import svgplot
 
 DEFAULT_STRATEGIES = "pure:omega,append:optimal,dep,avg-ue"
+FORMATS = ("csv", "json")
 
 
 def _fmt(x) -> str:
@@ -82,16 +83,21 @@ def _resolve(args, key, cfg, cast, default):
     val = getattr(args, key.replace("-", "_"), None)
     if val is not None:
         return val
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+    if key not in cfg:
+        return default
+    try:  # the check the flag's type or choices make; val stays None on failure
+        val = cast(cfg[key])
+    except ValueError:
+        pass
+    if val is None or (key == "format" and val not in FORMATS):
+        raise PurifyLabError(f"bad config value {key}={cfg[key]!r} for --{key}")
+    return val
 
 
 def _resolve_seed(args, cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
+    seed = _resolve(args, "seed", cfg, int, None)
+    if seed is not None:
+        return seed
     env = os.environ.get("PURIFYLAB_SEED")
     if env is not None:
         return int(env)
@@ -128,7 +134,7 @@ def _add_common(p: argparse.ArgumentParser, *, de_help="environment dimension"):
     p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
     p.add_argument("--workers", type=int, default=None, help="parallel workers")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--config", type=str, default=None, help="key=value defaults file")
 
 

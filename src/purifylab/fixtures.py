@@ -15,7 +15,7 @@ import numpy as np
 
 from . import theory
 from .channels import ChoiOperator, choi_from_kraus, kraus_from_choi, stinespring_from_choi
-from .channels import depolarizing_choi
+from .channels import _from_re_im, depolarizing_choi
 from .ensembles import mp_mu
 from .errors import PurifyLabError
 from .linalg import complete_elliptic, fidelity, flip_operator
@@ -27,8 +27,7 @@ PROVENANCE_TAGS = ("closed_form", "trivial", "derived")
 
 def _matrix_from_json(data: dict) -> np.ndarray:
     side = int(data["side"])
-    flat = np.array([complex(re, im) for re, im in data["re_im"]])
-    return flat.reshape(side, side)
+    return _from_re_im(data["re_im"]).reshape(side, side)
 
 
 def _op_depolarizing_choi(inp):
@@ -98,7 +97,7 @@ _OPS = {
 
 def _max_dev(got, expected) -> float:
     if isinstance(expected, dict) and "re_im" in expected:
-        want = np.array([complex(re, im) for re, im in expected["re_im"]])
+        want = _from_re_im(expected["re_im"])
         return float(np.max(np.abs(np.asarray(got).reshape(-1) - want)))
     got_arr = np.asarray(got, dtype=float).reshape(-1)
     want_arr = np.asarray(expected, dtype=float).reshape(-1)

@@ -20,6 +20,7 @@ __all__ = [
     "herm_eig",
     "floor_eigenvalues",
     "psd_sqrt",
+    "psd_factor",
     "trace_norm",
     "fidelity",
     "flip_operator",
@@ -122,19 +123,31 @@ def floor_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return np.maximum(np.where(vals < EIG_FLOOR * top, 0.0, vals), 0.0)
 
 
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root via the spectral decomposition.
-
-    Eigenvalues in a small negative band (floating-point drift after partial
-    traces) are clamped to zero; anything below ``-PSD_TOL * max|eig|``
-    raises :class:`NotPSD`.
-    """
+def _psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` of a PSD matrix with floored eigenvalues; a small negative
+    band (drift after partial traces) is clamped to zero, and anything below
+    ``-PSD_TOL * max|eig|`` raises :class:`NotPSD`."""
     vals, vecs = herm_eig(m)
     top = max(float(np.max(np.abs(vals), initial=0.0)), 1e-300)
     if float(np.min(vals, initial=0.0)) < -PSD_TOL * top:
         raise NotPSD(f"eigenvalue {np.min(vals):.3e} below the PSD tolerance")
-    root = np.sqrt(floor_eigenvalues(vals))
-    return hermitianize((vecs * root) @ dagger(vecs))
+    return floor_eigenvalues(vals), vecs
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Positive-semidefinite square root via the spectral decomposition;
+    :class:`NotPSD` as in ``psd_factor``."""
+    vals, vecs = _psd_spectrum(m)
+    return hermitianize((vecs * np.sqrt(vals)) @ dagger(vecs))
+
+
+def psd_factor(m: np.ndarray) -> np.ndarray:
+    """S = V_r diag(sqrt(lambda_r)) with m = S S†: one column per eigenvalue
+    above the floor, descending, so the column count is the rank.  Raises
+    :class:`NotPSD` on an eigenvalue below ``-PSD_TOL * max|eig|``."""
+    vals, vecs = _psd_spectrum(m)
+    r = int(np.count_nonzero(vals))
+    return vecs[:, :r] * np.sqrt(vals[:r])
 
 
 def trace_norm(m: np.ndarray) -> float:

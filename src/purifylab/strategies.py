@@ -45,7 +45,7 @@ from .ensembles import (
     sample_haar_unitary,
 )
 from .errors import InvalidDims, InvalidWeights
-from .linalg import floor_eigenvalues, hermitianize
+from .linalg import floor_eigenvalues, hermitianize, psd_factor
 
 __all__ = [
     "PureOutput",
@@ -111,9 +111,9 @@ def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
 class PureOutput(_BankScored):
     """Emit the fixed pure Choi operator |w><w| regardless of the input.
 
-    ``support`` is S = V_r diag(sqrt(mu_r)), the r eigenvectors of the
-    marginal W = tr_E |w><w| whose eigenvalues mu_r survive
-    ``floor_eigenvalues``, so that W = S S†.  It is computed once, here.
+    ``support`` is S = ``psd_factor(W)`` of the marginal W = tr_E |w><w|,
+    so that W = S S† with one column per eigenvalue above the floor.  It is
+    computed once, here.
     """
 
     w: PurificationVector
@@ -121,10 +121,7 @@ class PureOutput(_BankScored):
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals, vecs = np.linalg.eigh(self.w.marginal_choi().matrix)
-        vals = floor_eigenvalues(vals)
-        keep = vals > 0.0
-        object.__setattr__(self, "support", vecs[:, keep] * np.sqrt(vals[keep]))
+        object.__setattr__(self, "support", psd_factor(self.w.marginal_choi().matrix))
 
     def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
         if (self.w.d_i, self.w.d_o) != (c.d_i, c.d_o):
@@ -149,7 +146,7 @@ class PureOutput(_BankScored):
         # A rank-one marginal is an isometric channel's Choi operator; it, or
         # any output against isometric inputs, has average Uhlmann overlap
         # d_i / d_o with the channel.
-        if spec.d_e == 1 or self.w.marginal_choi().rank() == 1:
+        if spec.d_e == 1 or self.support.shape[1] == 1:
             return theory.eps_separable_pure_output(spec.d_i, spec.d_o)
         return None
 
@@ -180,7 +177,7 @@ class Append(_BankScored):
     def errors(self, d_i: int, chois: np.ndarray) -> np.ndarray:
         """Exact errors against a stack of Choi matrices."""
         lam = self.spectrum
-        cvals = np.sort(np.linalg.eigvalsh(chois), axis=1)[:, ::-1]
+        cvals = np.linalg.eigvalsh(chois)[:, ::-1]  # descending
         k = min(cvals.shape[1], lam.size)
         purity = np.sum(cvals**2, axis=1)
         pair = (cvals[:, :k] ** 2) @ lam[:k]

@@ -22,9 +22,11 @@ from purifylab.ensembles import EnsembleSpec, RandomStream
 from purifylab.errors import (
     EnvironmentTooSmall,
     InvalidDims,
+    NotPSD,
     NotTracePreserving,
     NotUnitary,
 )
+from purifylab.strategies import PureOutput
 
 
 def sampled(d_i, d_o, d_e, seed=0, i=0):
@@ -135,6 +137,45 @@ class TestStinespring:
         v1 = stinespring_from_choi(c, 3)
         v2 = stinespring_from_choi(c, 3)
         assert np.array_equal(v1.vector, v2.vector)
+
+
+FACTOR_DIMS = [(2, 2, 1), (2, 2, 4), (1, 2, 2), (2, 3, 5), (2, 4, 3), (4, 4, 16)]
+
+
+class TestOneFactor:
+    """Rank, Kraus set, dilation and pure-output support read one psd_factor."""
+
+    @pytest.mark.parametrize("dims", FACTOR_DIMS, ids=str)
+    def test_every_route_is_the_factor(self, dims):
+        spec = EnsembleSpec(*dims, seed=18)
+        for i in range(20):
+            c, v = ensembles.sample_choi(spec, spec.stream(i))
+            s = linalg.psd_factor(c.matrix)
+            r = s.shape[1]
+            assert c.rank() == r
+            assert np.array_equal(stinespring_from_choi(c, r).as_matrix(), s)
+            assert np.array_equal(stinespring_from_choi(c, r + 1).as_matrix()[:, :r], s)
+            assert np.array_equal(PureOutput(v).support, s)
+            ops = kraus_from_choi(c).operators
+            assert np.array_equal(choi_vector(np.stack(ops)).T, s)
+
+    def test_one_tolerance(self):
+        # eigenvalue ratio 1e-11: above the floor, so rank 2 on every route
+        lam = np.array([1.0, 1e-11]) / (1.0 + 1e-11)
+        v = PurificationVector(1, 2, 2, np.diag(np.sqrt(lam)).reshape(-1))
+        c = v.marginal_choi()
+        assert c.rank() == 2
+        assert len(kraus_from_choi(c).operators) == 2
+        assert PureOutput(v).support.shape[1] == 2
+
+    def test_negative_eigenvalue_rejected(self):
+        c = ChoiOperator(1, 2, np.diag([1.0, -0.5]))
+        with pytest.raises(NotPSD):
+            c.rank()
+        with pytest.raises(NotPSD):
+            kraus_from_choi(c)
+        with pytest.raises(NotPSD):
+            stinespring_from_choi(c, 2)
 
 
 class TestEnvUnitary:

@@ -290,6 +290,18 @@ class TestConfigAndEnv:
         assert f"config key(s) {key};" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["format=xml", "seed=x"])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, line):
+        # --format xml and --seed x exit 2; so do the same values in a file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        argv = ["validate", "--check", "purity", "--n", "50", "--config", str(cfg)]
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        key, value = line.split("=")
+        assert f"{key}={value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PURIFYLAB_SEED", "4242")
         out = tmp_path / "out.csv"

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from purifylab import ensembles, linalg, metrics, theory
 from purifylab.channels import (
     depolarizing_choi,
+    embed_env,
     identity_isometry_purification,
     max_entangled_purification,
     separable_purification,
@@ -278,3 +279,34 @@ class TestSupportRoute:
         omega = parse_strategy("pure:omega", spec).support
         assert omega.shape == (side, side)
         assert_allclose(omega @ omega.conj().T, np.eye(side) / spec.d_o, atol=1e-15)
+
+
+SCORED_TEXTS = [
+    "pure:omega",
+    "pure:random",
+    "pure:separable",
+    "append:maxmixed",
+    "append:optimal",
+    "append:pure",
+    "dep",
+    "avg-ue",
+]
+
+
+class TestOutputScoresAsChunkErrors:
+    """The orbit ascent on Strategy.output reproduces the reported errors."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 3)], ids=str)
+    @pytest.mark.parametrize("text", SCORED_TEXTS)
+    def test_output_error_is_chunk_error(self, dims, text):
+        spec = EnsembleSpec(*dims, seed=63)
+        s = metrics.make_strategy(text, spec, n_weights=200)
+        for i in range(3):
+            c, v = sampled(spec, i)
+            q = s.output(c)
+            # pure:omega lives on d_i d_o environment dimensions, not d_e
+            d_e = max(v.d_e, q.shape[0] // (spec.d_i * spec.d_o))
+            if isinstance(s, PureOutput):
+                q = embed_env(s.w, d_e).projector()
+            got = metrics.error_orbit_numeric(q, embed_env(v, d_e)).error
+            assert abs(got - s.chunk_errors(spec, i, i + 1)[0]) <= 1e-6
