@@ -79,19 +79,24 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
+def _checked(name, text, key, cast):
+    """``text`` from config or environment ``name``, checked like --key."""
+    try:  # the check the flag's type or choices make
+        val = cast(text)
+    except ValueError:
+        val = None
+    if val is None or (key == "format" and val not in FORMATS):
+        raise PurifyLabError(f"bad {name}={text!r} for --{key}")
+    return val
+
+
 def _resolve(args, key, cfg, cast, default):
     val = getattr(args, key.replace("-", "_"), None)
     if val is not None:
         return val
     if key not in cfg:
         return default
-    try:  # the check the flag's type or choices make; val stays None on failure
-        val = cast(cfg[key])
-    except ValueError:
-        pass
-    if val is None or (key == "format" and val not in FORMATS):
-        raise PurifyLabError(f"bad config value {key}={cfg[key]!r} for --{key}")
-    return val
+    return _checked(f"config value {key}", cfg[key], key, cast)
 
 
 def _resolve_seed(args, cfg) -> int:
@@ -100,7 +105,7 @@ def _resolve_seed(args, cfg) -> int:
         return seed
     env = os.environ.get("PURIFYLAB_SEED")
     if env is not None:
-        return int(env)
+        return _checked("environment value PURIFYLAB_SEED", env, "seed", int)
     return 0
 
 

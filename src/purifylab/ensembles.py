@@ -1,12 +1,14 @@
 """Random ensembles: Ginibre matrices, Haar isometries, random channels.
 
 Channels are drawn by tracing the environment of a Haar-random isometry
-``V : H_I -> H_O x H_E``.  The canonical sampler is the polar construction
+``V : H_I -> H_O x H_E``.  The channel sampler is the polar construction
 ``V = G (G†G)^(-1/2)`` applied to a complex Ginibre matrix G, which is
-Haar-distributed on the Stiefel manifold.  A normalized-Wishart route to the
-same Choi distribution is provided as an independent cross-check, together
-with the Marchenko-Pastur reference density that governs the spectra at
-large dimension.
+Haar-distributed on the Stiefel manifold.  Haar unitaries are the Q factor
+of a square Ginibre matrix with the phases of R's diagonal moved into Q,
+unitary to rounding.  A normalized-Wishart route to the same Choi
+distribution is provided as an independent cross-check, together with the
+Marchenko-Pastur reference density that governs the spectra at large
+dimension.
 
 All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
@@ -158,15 +160,33 @@ def sample_haar_isometry(
 
 
 def sample_haar_unitary(d: int, rs: RandomStream | np.random.Generator) -> np.ndarray:
-    """Haar-random unitary (square case of the polar construction)."""
-    return sample_haar_isometry(d, d, rs)
+    """Haar-random d x d unitary: a batch of one through the QR kernel."""
+    return _qr_haar_batch(sample_ginibre(d, d, rs)[None])[0]
+
+
+def _qr_haar_batch(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries Q diag(r_jj / |r_jj|) from a stack of square Ginibre G = QR.
+
+    The phase fix makes the factorisation unique, so Q is Haar (Mezzadri,
+    Notices AMS 54, 592 (2007)); Householder QR keeps Q†Q = 1 to rounding
+    however ill-conditioned G is.  Raises :class:`SingularNormalizer` when
+    some r_jj is exactly zero.
+    """
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mod = np.abs(diag)
+    if (mod == 0.0).any():
+        raise SingularNormalizer("R has a zero diagonal entry")
+    q *= (diag / mod)[:, None, :]
+    return q
 
 
 def _polar_batch(g: np.ndarray) -> np.ndarray:
     """Polar factors G (G†G)^(-1/2) of a stack of full-column-rank matrices.
 
-    Haar on the Stiefel manifold for Ginibre G; every Haar draw in the
-    package, single or batched, goes through this kernel.
+    Haar on the Stiefel manifold for Ginibre G; every channel isometry
+    (:func:`sample_haar_isometry`, the sample bank, :func:`sample_choi`)
+    goes through this kernel.  Haar unitaries use :func:`_qr_haar_batch`.
 
     Raises :class:`SingularNormalizer` when some G†G has its smallest
     eigenvalue at or below 1e-14 times its largest.
@@ -182,7 +202,7 @@ def _polar_batch(g: np.ndarray) -> np.ndarray:
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, drawn in one pass."""
-    return _polar_batch(_complex_normals(rng.standard_normal((count, d, d, 2))))
+    return _qr_haar_batch(_complex_normals(rng.standard_normal((count, d, d, 2))))
 
 
 def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from .channels import (
     identity_isometry_purification,
     max_entangled_purification,
     separable_purification,
-    stinespring_from_choi,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -309,8 +308,10 @@ def tomography_estimate(
     numerical rank of the input, and the infidelity decays like 1/k.
     """
     rng = _as_generator(rs)
-    r = max(c.rank(), 1)
-    v0 = stinespring_from_choi(c, r)
+    # one factor C = S S† gives both the rank and the canonical dilation
+    s = psd_factor(c.matrix)
+    r = s.shape[1]
+    v0 = PurificationVector(c.d_i, c.d_o, r, s.reshape(-1))
     if k is None:
         return v0
     if k < 1:

@@ -309,6 +309,16 @@ class TestConfigAndEnv:
                  "--strategies", "dep", "--out", str(out)])
         assert body_lines(out)[1].split(",")[6] == "4242"
 
+    def test_env_seed_checked_like_its_flag(self, tmp_path, capsys, monkeypatch):
+        # --seed x and seed=x in a file exit 2 naming the bad value; so does the
+        # environment fallback, naming its variable
+        monkeypatch.setenv("PURIFYLAB_SEED", "x")
+        out = tmp_path / "out.csv"
+        argv = ["validate", "--check", "purity", "--n", "50", "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert "PURIFYLAB_SEED='x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFixturesCommand:
     def test_bundled_fixtures_pass(self, capsys):

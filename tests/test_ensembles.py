@@ -108,9 +108,16 @@ class TestStreamContract:
     def test_haar_batch_matches_split_formula(self, d, count):
         stream = RandomStream(20245, 12)
         z = stream.generator().standard_normal((count, d, d, 2))
-        want = ensembles._polar_batch((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
+        want = ensembles._qr_haar_batch((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
         got = ensembles.haar_unitaries_batch(d, count, stream.generator())
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_haar_unitary_is_batch_of_one(self, d):
+        stream = RandomStream(20245, 13)
+        z = stream.generator().standard_normal((1, d, d, 2))
+        want = ensembles._qr_haar_batch((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
+        assert np.array_equal(ensembles.sample_haar_unitary(d, stream), want[0])
 
 
 class TestPolarBatch:
@@ -130,6 +137,42 @@ class TestPolarBatch:
         g[1] = 0.0
         with pytest.raises(SingularNormalizer):
             ensembles._polar_batch(g)
+
+
+class TestQRHaarBatch:
+    N = 20_000
+
+    @staticmethod
+    def defect(u):
+        eye = np.eye(u.shape[-1])
+        return np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - eye))
+
+    def test_batch_unitary_to_rounding(self):
+        u = ensembles.haar_unitaries_batch(4, self.N, RandomStream(31, 0).generator())
+        assert self.defect(u) < 1e-13
+
+    def test_single_draws_unitary_to_rounding(self):
+        rng = RandomStream(31, 1).generator()
+        u = np.array([ensembles.sample_haar_unitary(4, rng) for _ in range(self.N)])
+        assert self.defect(u) < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_haar_moments(self, d):
+        # E|U_11|^2 = 1/d, E|U_11|^4 = 2/(d(d+1)), E|tr U|^2 = 1; the last
+        # fails without the phase fix, whose Q is not Haar.
+        u = ensembles.haar_unitaries_batch(d, self.N, RandomStream(32, d).generator())
+        a = np.abs(u[:, 0, 0]) ** 2
+        t = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2
+        for x, want in ((a, 1 / d), (a**2, 2 / (d * (d + 1))), (t, 1.0)):
+            assert abs(x.mean() - want) < 4 * x.std() / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("col", [0, 2])
+    def test_zero_column_raises(self, col):
+        rng = RandomStream(33, 0).generator()
+        g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        g[1, :, col] = 0.0
+        with pytest.raises(SingularNormalizer):
+            ensembles._qr_haar_batch(g)
 
 
 class TestGinibre:

@@ -14,6 +14,7 @@ from purifylab.ensembles import (
     PURPOSE_SAMPLE,
     EnsembleSpec,
     _choi_bank,
+    haar_unitaries_batch,
     sample_choi,
 )
 from purifylab.linalg import floor_eigenvalues
@@ -73,15 +74,8 @@ def test_avg_ue_equals_append_maxmixed(spec):
 
 @st.composite
 def unitaries(draw, d):
-    """Haar unitary by QR with phase fixing (Mezzadri), unitary to ~1e-15.
-
-    Drawn apart from the package's polar sampler, whose G†G route leaves
-    U†U - 1 as large as 1e-8 on rare ill-conditioned draws.
-    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return haar_unitaries_batch(d, 1, rng)[0]
 
 
 @PROPERTY_SETTINGS

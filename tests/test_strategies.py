@@ -9,11 +9,13 @@ from purifylab.channels import (
     identity_isometry_purification,
     max_entangled_purification,
     separable_purification,
+    stinespring_from_choi,
 )
 from purifylab.ensembles import EnsembleSpec, RandomStream
 from purifylab.errors import InvalidDims, InvalidWeights
 from purifylab.strategies import (
     Append,
+    Estimation,
     MapToDepolarizing,
     PureOutput,
     optimal_append_spectrum,
@@ -159,6 +161,18 @@ class TestTomographyEstimate:
         c, _ = sampled(spec)
         est = tomography_estimate(c, None, RandomStream(44, 0))
         assert metrics.error_pure_output(c, est) < 1e-6
+
+    def test_exact_path_is_canonical_dilation(self):
+        spec = EnsembleSpec(2, 2, 3, seed=46)
+        c, _ = sampled(spec)
+        est = tomography_estimate(c, None, RandomStream(46, 0))
+        assert np.array_equal(est.vector, stinespring_from_choi(c, c.rank()).vector)
+
+    def test_ill_conditioned_basis_draw_scores(self):
+        # sample 37065's shots once drew a basis whose U†U missed 1 by 2e-10
+        spec = EnsembleSpec(2, 2, 4, seed=0)
+        err = Estimation(64).chunk_errors(spec, 37065, 37066)
+        assert 0.0 <= err[0] <= 2 * spec.d_i**2
 
     def test_determinism(self):
         spec = EnsembleSpec(1, 2, 2, seed=45)
