@@ -4,8 +4,9 @@ Channels are drawn by tracing the environment of a Haar-random isometry
 ``V : H_I -> H_O x H_E``.  The channel sampler is the polar construction
 ``V = G (G†G)^(-1/2)`` applied to a complex Ginibre matrix G, which is
 Haar-distributed on the Stiefel manifold.  Haar unitaries are the Q factor
-of a square Ginibre matrix with the phases of R's diagonal moved into Q,
-unitary to rounding.  A normalized-Wishart route to the same Choi
+of a square Ginibre matrix G = QR with R's diagonal real and positive, built
+by classical Gram-Schmidt run twice across the whole stack and unitary to
+rounding.  A normalized-Wishart route to the same Choi
 distribution is provided as an independent cross-check, together with the
 Marchenko-Pastur reference density that governs the spectra at large
 dimension.
@@ -165,20 +166,34 @@ def sample_haar_unitary(d: int, rs: RandomStream | np.random.Generator) -> np.nd
 
 
 def _qr_haar_batch(g: np.ndarray) -> np.ndarray:
-    """Haar unitaries Q diag(r_jj / |r_jj|) from a stack of square Ginibre G = QR.
+    """Haar unitaries Q from a stack of square Ginibre G = QR with r_jj > 0.
 
-    The phase fix makes the factorisation unique, so Q is Haar (Mezzadri,
-    Notices AMS 54, 592 (2007)); Householder QR keeps Q†Q = 1 to rounding
-    however ill-conditioned G is.  Raises :class:`SingularNormalizer` when
-    some r_jj is exactly zero.
+    Classical Gram-Schmidt run twice (CGS2): column j of G loses its
+    components along columns 0..j-1 of Q in two passes and is then
+    normalised.  The R this implies has a real positive diagonal, so Q is
+    the phase-fixed factor, which is Haar (Mezzadri, Notices AMS 54, 592
+    (2007)); the second pass keeps Q†Q = 1 to rounding ("twice is enough":
+    Giraud et al., Numer. Math. 101, 87 (2005)).  The columns are worked on
+    in a (column, row, batch) copy, so every numpy operation runs over the
+    contiguous batch axis.
+
+    Raises :class:`SingularNormalizer` when a column's residual after the
+    two passes is at or below 1e-14 times that column's norm in G, the
+    relative rule of :func:`_polar_batch`; a zero column trips it too.
     """
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    mod = np.abs(diag)
-    if (mod == 0.0).any():
-        raise SingularNormalizer("R has a zero diagonal entry")
-    q *= (diag / mod)[:, None, :]
-    return q
+    q = g.transpose(2, 1, 0).copy()
+    for j, v in enumerate(q):
+        norm_in = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        for _ in range(2):
+            coef = [(q[k].conj() * v).sum(axis=0) for k in range(j)]
+            for k in range(j):
+                v -= q[k] * coef[k]
+        norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        if (norm <= 1e-14 * norm_in).any():
+            raise SingularNormalizer(f"column {j} of G depends on the columns before it")
+        v /= norm
+    # back to C-ordered (batch, row, column), the layout callers index
+    return np.ascontiguousarray(q.transpose(2, 1, 0))
 
 
 def _polar_batch(g: np.ndarray) -> np.ndarray:
@@ -186,7 +201,10 @@ def _polar_batch(g: np.ndarray) -> np.ndarray:
 
     Haar on the Stiefel manifold for Ginibre G; every channel isometry
     (:func:`sample_haar_isometry`, the sample bank, :func:`sample_choi`)
-    goes through this kernel.  Haar unitaries use :func:`_qr_haar_batch`.
+    goes through this kernel, and only channel isometries do: Haar unitaries
+    use the Gram-Schmidt kernel :func:`_qr_haar_batch`.  Forming G†G squares
+    cond(G), so where G is square its polar factor can miss V†V = 1 by more
+    than rounding.
 
     Raises :class:`SingularNormalizer` when some G†G has its smallest
     eigenvalue at or below 1e-14 times its largest.

@@ -15,12 +15,18 @@ from purifylab.errors import DomainError, InvalidDims, SingularNormalizer
 M64 = (1 << 64) - 1
 
 
+def lapack_haar(g):
+    """Reference Haar factor: LAPACK QR, phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def qr_haar_isometry(d_in, d_out, rng):
     """Independent oracle sampler: QR with phase fixing (Mezzadri)."""
     z = (rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in)))
     z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return lapack_haar(z)
 
 
 class TestSpecAndStream:
@@ -173,6 +179,41 @@ class TestQRHaarBatch:
         g[1, :, col] = 0.0
         with pytest.raises(SingularNormalizer):
             ensembles._qr_haar_batch(g)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_matches_lapack_reference(self, d):
+        g = ensembles.sample_ginibre(500 * d, d, RandomStream(34, d)).reshape(500, d, d)
+        got = ensembles._qr_haar_batch(g)
+        assert np.max(np.abs(got - lapack_haar(g))) < 1e-12
+
+    def test_parallel_column_raises(self):
+        rng = RandomStream(35, 0).generator()
+        g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        g[1, :, 3] = (0.6 - 0.8j) * g[1, :, 1]
+        with pytest.raises(SingularNormalizer):
+            ensembles._qr_haar_batch(g)
+
+    def test_near_parallel_draws_unitary_or_rejected(self):
+        # column 2 tends to a multiple of column 0: every accepted draw stays
+        # unitary to rounding, and the rule rejects only the last few steps
+        rng = RandomStream(36, 0).generator()
+        g = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+        noise = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        for eps in [10.0**-p for p in range(8, 17)] + [0.0]:
+            h = g.copy()
+            h[:, :, 2] = (0.6 - 0.8j) * h[:, :, 0] + eps * noise
+            accepted = []
+            for one in h:
+                try:
+                    accepted.append(ensembles._qr_haar_batch(one[None])[0])
+                except SingularNormalizer:
+                    pass
+            if eps >= 1e-12:
+                assert len(accepted) == len(h)
+            if eps == 0.0:
+                assert not accepted
+            if accepted:
+                assert self.defect(np.array(accepted)) < 1e-13
 
 
 class TestGinibre:

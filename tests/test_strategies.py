@@ -174,6 +174,24 @@ class TestTomographyEstimate:
         err = Estimation(64).chunk_errors(spec, 37065, 37066)
         assert 0.0 <= err[0] <= 2 * spec.d_i**2
 
+    def test_single_shot_outcome_law(self):
+        # A Haar-basis measurement of the pure |s> returns |b> with
+        # x = |<s|b>|^2 ~ Beta(2, D-1) (the Born rule size-biases the uniform
+        # Beta(1, D-1)), however the bases are drawn.
+        from scipy import stats
+
+        spec = EnsembleSpec(1, 4, 1, seed=47)
+        c, _ = sampled(spec)
+        s = linalg.psd_factor(c.matrix)[:, 0]
+        dim = s.size
+        n = 4000
+        x = np.array(
+            [abs(np.vdot(s, tomography_estimate(c, 1, RandomStream(47, i)).vector)) ** 2
+             for i in range(n)]
+        )
+        assert stats.kstest(x, stats.beta(2, dim - 1).cdf).pvalue > 0.01
+        assert abs(x.mean() - 2 / (dim + 1)) < 4 * x.std() / np.sqrt(n)
+
     def test_determinism(self):
         spec = EnsembleSpec(1, 2, 2, seed=45)
         c, _ = sampled(spec)
