@@ -1,15 +1,13 @@
 """Random ensembles: Ginibre matrices, Haar isometries, random channels.
 
 Channels are drawn by tracing the environment of a Haar-random isometry
-``V : H_I -> H_O x H_E``.  The channel sampler is the polar construction
-``V = G (G†G)^(-1/2)`` applied to a complex Ginibre matrix G, which is
-Haar-distributed on the Stiefel manifold.  Haar unitaries are the Q factor
-of a square Ginibre matrix G = QR with R's diagonal real and positive, built
-by classical Gram-Schmidt run twice across the whole stack and unitary to
-rounding.  A normalized-Wishart route to the same Choi
-distribution is provided as an independent cross-check, together with the
-Marchenko-Pastur reference density that governs the spectra at large
-dimension.
+``V : H_I -> H_O x H_E``.  Every Haar isometry and unitary is the Q factor
+of a complex Ginibre matrix G = QR (square or tall) with R's diagonal real
+and positive, which is Haar on the Stiefel manifold.  One kernel builds it,
+classical Gram-Schmidt run twice across the whole stack, isometric to
+rounding.  A normalized-Wishart route to the same Choi distribution is
+provided as an independent cross-check, together with the Marchenko-Pastur
+reference density that governs the spectra at large dimension.
 
 All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
@@ -26,7 +24,7 @@ import numpy as np
 
 from .channels import ChoiOperator, PurificationVector, choi_vector
 from .errors import DomainError, InvalidDims, SingularNormalizer
-from .linalg import complete_elliptic, partial_trace
+from .linalg import complete_elliptic, herm_eig, partial_trace
 
 __all__ = [
     "EnsembleSpec",
@@ -153,42 +151,47 @@ def sample_ginibre(
 def sample_haar_isometry(
     d_in: int, d_out: int, rs: RandomStream | np.random.Generator
 ) -> np.ndarray:
-    """Haar-random isometry V (d_out x d_in) with V†V = 1."""
+    """Haar-random isometry V (d_out x d_in) with V†V = 1.
+
+    A batch of one through the QR kernel, so the bits match the bank's row.
+    """
     if d_out < d_in:
         raise InvalidDims(f"isometry needs d_out >= d_in, got {d_out} < {d_in}")
-    # a batch of one through the bank's kernel, so the bits match the bank
-    return _polar_batch(sample_ginibre(d_out, d_in, rs)[None])[0]
+    return _qr_haar_batch(sample_ginibre(d_out, d_in, rs)[None])[0]
 
 
 def sample_haar_unitary(d: int, rs: RandomStream | np.random.Generator) -> np.ndarray:
-    """Haar-random d x d unitary: a batch of one through the QR kernel."""
-    return _qr_haar_batch(sample_ginibre(d, d, rs)[None])[0]
+    """Haar-random d x d unitary: the square case of :func:`sample_haar_isometry`."""
+    return sample_haar_isometry(d, d, rs)
 
 
 def _qr_haar_batch(g: np.ndarray) -> np.ndarray:
-    """Haar unitaries Q from a stack of square Ginibre G = QR with r_jj > 0.
+    """Haar isometries Q from a stack of Ginibre G = QR with r_jj > 0.
 
-    Classical Gram-Schmidt run twice (CGS2): column j of G loses its
-    components along columns 0..j-1 of Q in two passes and is then
-    normalised.  The R this implies has a real positive diagonal, so Q is
-    the phase-fixed factor, which is Haar (Mezzadri, Notices AMS 54, 592
-    (2007)); the second pass keeps Q†Q = 1 to rounding ("twice is enough":
-    Giraud et al., Numer. Math. 101, 87 (2005)).  The columns are worked on
-    in a (column, row, batch) copy, so every numpy operation runs over the
-    contiguous batch axis.
+    G is square or tall (rows >= columns); Q has G's shape and is Haar on
+    the Stiefel manifold, the unitary group when G is square (Mezzadri,
+    Notices AMS 54, 592 (2007)).  Classical Gram-Schmidt run twice (CGS2):
+    column j of G loses its components along columns 0..j-1 of Q in two
+    passes and is then normalised.  The R this implies has a real positive
+    diagonal, so Q is the phase-fixed factor, and the second pass keeps
+    Q†Q = 1 to rounding ("twice is enough": Giraud et al., Numer. Math.
+    101, 87 (2005)).  The columns are worked on in a (column, row, batch)
+    copy, so every numpy operation runs over the contiguous batch axis.
+    Every sum adds the rows one by one in row order (:func:`_row_sums`), so
+    a matrix gets the same bits alone as in any stack.
 
     Raises :class:`SingularNormalizer` when a column's residual after the
-    two passes is at or below 1e-14 times that column's norm in G, the
-    relative rule of :func:`_polar_batch`; a zero column trips it too.
+    two passes is at or below 1e-14 times that column's norm in G; a zero
+    column trips it too.
     """
-    q = g.transpose(2, 1, 0).copy()
+    q = g.transpose(2, 1, 0).astype(complex, order="C")
     for j, v in enumerate(q):
-        norm_in = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        norm_in = _norms(v)
         for _ in range(2):
-            coef = [(q[k].conj() * v).sum(axis=0) for k in range(j)]
+            coef = [_row_sums(q[k].conj() * v) for k in range(j)]
             for k in range(j):
                 v -= q[k] * coef[k]
-        norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        norm = _norms(v)
         if (norm <= 1e-14 * norm_in).any():
             raise SingularNormalizer(f"column {j} of G depends on the columns before it")
         v /= norm
@@ -196,26 +199,22 @@ def _qr_haar_batch(g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q.transpose(2, 1, 0))
 
 
-def _polar_batch(g: np.ndarray) -> np.ndarray:
-    """Polar factors G (G†G)^(-1/2) of a stack of full-column-rank matrices.
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the rows of a (row, batch) complex stack, in row order.
 
-    Haar on the Stiefel manifold for Ginibre G; every channel isometry
-    (:func:`sample_haar_isometry`, the sample bank, :func:`sample_choi`)
-    goes through this kernel, and only channel isometries do: Haar unitaries
-    use the Gram-Schmidt kernel :func:`_qr_haar_batch`.  Forming G†G squares
-    cond(G), so where G is square its polar factor can miss V†V = 1 by more
-    than rounding.
-
-    Raises :class:`SingularNormalizer` when some G†G has its smallest
-    eigenvalue at or below 1e-14 times its largest.
+    Summed on the (row, 2 batch) real view.  numpy adds the rows one by one
+    when a longer axis lies inside the summed one, but pairwise when the
+    summed axis is innermost, as it is for a lone matrix once numpy drops
+    its length-one batch axis; the real view's inner axis is never shorter
+    than two.
     """
-    h = np.einsum("bji,bjk->bik", g.conj(), g)
-    vals, vecs = np.linalg.eigh(h)
-    # eigh sorts ascending, so a zero or negative top eigenvalue trips this too
-    if (vals[:, 0] <= 1e-14 * vals[:, -1]).any():
-        raise SingularNormalizer("G†G is numerically singular")
-    inv_root = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs.conj())
-    return g @ inv_root
+    return x.view(float).sum(axis=0).view(complex)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Column norms of a (row, batch) complex stack, summed as :func:`_row_sums`."""
+    s = (x.view(float) ** 2).sum(axis=0)
+    return np.sqrt(s[0::2] + s[1::2])
 
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,7 +230,7 @@ def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray
     gs = np.empty((count, big, d_i), dtype=complex)
     for j, i in enumerate(range(lo, hi)):
         gs[j] = sample_ginibre(big, d_i, spec.stream(i, purpose))
-    return choi_vector(_polar_batch(gs)).reshape(count, d_i * d_o, d_e)
+    return choi_vector(_qr_haar_batch(gs)).reshape(count, d_i * d_o, d_e)
 
 
 def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
@@ -262,7 +261,7 @@ def sample_wishart_choi(spec: EnsembleSpec, rs: RandomStream | np.random.Generat
     g = sample_ginibre(spec.d_i * spec.d_o, spec.d_e, rs)
     w = g @ g.conj().T
     t = partial_trace(w, (spec.d_i, spec.d_o), keep=(0,))
-    vals, vecs = np.linalg.eigh(t)
+    vals, vecs = herm_eig(t)
     if np.min(vals) <= 1e-14 * max(np.max(vals), 1e-300):
         raise SingularNormalizer("tr_O(GG†) is numerically singular")
     t_inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T

@@ -22,11 +22,12 @@ def lapack_haar(g):
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def qr_haar_isometry(d_in, d_out, rng):
-    """Independent oracle sampler: QR with phase fixing (Mezzadri)."""
+def polar_haar_isometry(d_in, d_out, rng):
+    """Independent oracle sampler: the polar factor G (G†G)^(-1/2) of Ginibre G."""
     z = (rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in)))
     z /= math.sqrt(2.0)
-    return lapack_haar(z)
+    vals, vecs = np.linalg.eigh(z.conj().T @ z)
+    return z @ (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
 class TestSpecAndStream:
@@ -126,25 +127,6 @@ class TestStreamContract:
         assert np.array_equal(ensembles.sample_haar_unitary(d, stream), want[0])
 
 
-class TestPolarBatch:
-    def test_isometries(self):
-        rng = RandomStream(3, 0).generator()
-        g = (rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3)))
-        v = ensembles._polar_batch(g)
-        eye = np.broadcast_to(np.eye(3), (6, 3, 3))
-        assert_allclose(v.conj().transpose(0, 2, 1) @ v, eye, atol=1e-12)
-
-    def test_rank_deficient_stack_raises(self):
-        rng = RandomStream(4, 0).generator()
-        g = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
-        g[1, :, 1] = 2.0 * g[1, :, 0]  # second column parallel to the first
-        with pytest.raises(SingularNormalizer):
-            ensembles._polar_batch(g)
-        g[1] = 0.0
-        with pytest.raises(SingularNormalizer):
-            ensembles._polar_batch(g)
-
-
 class TestQRHaarBatch:
     N = 20_000
 
@@ -180,11 +162,55 @@ class TestQRHaarBatch:
         with pytest.raises(SingularNormalizer):
             ensembles._qr_haar_batch(g)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
-    def test_matches_lapack_reference(self, d):
-        g = ensembles.sample_ginibre(500 * d, d, RandomStream(34, d)).reshape(500, d, d)
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [pytest.param(d, d, id=str(d)) for d in (1, 2, 3, 4, 8, 16)]
+        + [pytest.param(r, c, id=f"{r}x{c}") for r, c in ((4, 2), (8, 2), (64, 4))],
+    )
+    def test_matches_lapack_reference(self, rows, cols):
+        g = ensembles.sample_ginibre(500 * rows, cols, RandomStream(34, rows))
+        g = g.reshape(500, rows, cols)
         got = ensembles._qr_haar_batch(g)
         assert np.max(np.abs(got - lapack_haar(g))) < 1e-12
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (16, 16), (6, 2), (64, 4)])
+    def test_lone_matrix_is_stack_row(self, rows, cols):
+        # a matrix gets the same bits alone as in a stack: numpy sums the
+        # rows of a lone matrix pairwise unless the kernel prevents it
+        g = ensembles.sample_ginibre(73 * rows, cols, RandomStream(37, rows))
+        g = g.reshape(73, rows, cols)
+        stack = ensembles._qr_haar_batch(g)
+        for i in range(len(g)):
+            assert np.array_equal(ensembles._qr_haar_batch(g[i : i + 1])[0], stack[i])
+
+    def test_tall_isometries(self):
+        rng = RandomStream(3, 0).generator()
+        g = (rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3)))
+        v = ensembles._qr_haar_batch(g)
+        eye = np.broadcast_to(np.eye(3), (6, 3, 3))
+        assert_allclose(v.conj().transpose(0, 2, 1) @ v, eye, atol=1e-12)
+
+    def test_tall_rank_deficient_stack_raises(self):
+        rng = RandomStream(4, 0).generator()
+        g = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        g[1, :, 1] = 2.0 * g[1, :, 0]  # second column parallel to the first
+        with pytest.raises(SingularNormalizer):
+            ensembles._qr_haar_batch(g)
+        g[1] = 0.0
+        with pytest.raises(SingularNormalizer):
+            ensembles._qr_haar_batch(g)
+
+    def test_square_bank_isometric_to_rounding(self):
+        # the d_E = 1 bank of the qubit sweep draws square 2x2 G, where any
+        # route through G†G squares cond(G); QR keeps V†V = 1 to rounding
+        spec = EnsembleSpec(2, 2, 1, seed=0)
+        worst = 0.0
+        for lo in range(0, 40 * 512, 512):
+            vm = ensembles._vmat_bank(spec, lo, lo + 512, ensembles.PURPOSE_SAMPLE)
+            m = vm.reshape(512, 2, 2)  # rows: V^T, as choi_vector lays it out
+            gram = m @ m.conj().transpose(0, 2, 1)
+            worst = max(worst, np.max(np.abs(gram - np.eye(2))))
+        assert worst <= 1e-13
 
     def test_parallel_column_raises(self):
         rng = RandomStream(35, 0).generator()
@@ -256,21 +282,22 @@ class TestHaarIsometry:
         assert np.max(np.abs(acc - np.eye(d_out) * d_in / d_out)) < tol
 
     def test_polar_vs_qr_oracle(self):
-        # Two independent Haar constructions agree on low moments.
+        # Two independent Haar constructions agree on low moments: the
+        # package's QR draw and the test-only polar oracle.
         n = 4000
         rng = np.random.default_rng(44)
         spec = EnsembleSpec(2, 2, 2, seed=17)
-        purity_polar = np.empty(n)
         purity_qr = np.empty(n)
+        purity_polar = np.empty(n)
         for i in range(n):
             c1, _ = ensembles.sample_choi(spec, spec.stream(i))
-            purity_polar[i] = c1.purity()
-            viso = qr_haar_isometry(2, 4, rng)
+            purity_qr[i] = c1.purity()
+            viso = polar_haar_isometry(2, 4, rng)
             vec = channels.choi_vector(viso)
             mat = vec.reshape(4, 2)
-            purity_qr[i] = np.vdot(mat @ mat.conj().T, mat @ mat.conj().T).real
-        gap = abs(purity_polar.mean() - purity_qr.mean())
-        sigma = math.hypot(purity_polar.std() / math.sqrt(n), purity_qr.std() / math.sqrt(n))
+            purity_polar[i] = np.vdot(mat @ mat.conj().T, mat @ mat.conj().T).real
+        gap = abs(purity_qr.mean() - purity_polar.mean())
+        sigma = math.hypot(purity_qr.std() / math.sqrt(n), purity_polar.std() / math.sqrt(n))
         assert gap < 4 * sigma
 
 
