@@ -16,15 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EnvironmentTooSmall,
-    InvalidDims,
-    NotNormalized,
-    NotPSD,
-    NotTracePreserving,
-    NotUnitary,
-)
-from . import linalg
+from .errors import EnvironmentTooSmall, InvalidDims, NotTracePreserving, NotUnitary
+from .linalg import _psd_eigvalsh, _require_identity, _require_norm
 from .linalg import dagger, herm_eig, partial_trace, psd_factor
 
 __all__ = [
@@ -42,11 +35,6 @@ __all__ = [
     "identity_isometry_purification",
     "separable_purification",
 ]
-
-PSD_ATOL = 1e-9
-TP_ATOL = 1e-9
-TRACE_ATOL = 1e-10
-NORM_ATOL = 1e-10
 
 
 def _complex_vector(v) -> np.ndarray:
@@ -82,17 +70,10 @@ class ChoiOperator:
     def validate(self) -> "ChoiOperator":
         """Check Hermiticity, positivity, trace d_i, and trace preservation."""
         m = self.matrix
-        scale = max(float(np.max(np.abs(m))), 1e-300)
-        if np.max(np.abs(m - dagger(m))) > 1e-10 * scale:
-            raise NotPSD("Choi matrix is not Hermitian")
-        vals = np.linalg.eigvalsh(linalg.hermitianize(m))
-        if vals.min() < -PSD_ATOL * max(vals.max(), 1.0):
-            raise NotPSD(f"Choi matrix has eigenvalue {vals.min():.3e}")
-        if abs(np.trace(m) - self.d_i) > TRACE_ATOL * max(1.0, self.d_i):
-            raise NotNormalized(f"tr C = {np.trace(m):.12g}, expected {self.d_i}")
+        _psd_eigvalsh(m)
+        _require_norm(np.trace(m), self.d_i, "tr C")
         marg = partial_trace(m, (self.d_i, self.d_o), keep=(0,))
-        if np.max(np.abs(marg - np.eye(self.d_i))) > TP_ATOL:
-            raise NotTracePreserving("tr_O C deviates from the identity")
+        _require_identity(marg, NotTracePreserving, "tr_O C")
         return self
 
     def eigenvalues_desc(self) -> np.ndarray:
@@ -136,9 +117,7 @@ class PurificationVector:
         object.__setattr__(self, "vector", v)
 
     def validate(self, *, check_marginal: bool = True) -> "PurificationVector":
-        norm_sq = float(np.vdot(self.vector, self.vector).real)
-        if abs(norm_sq - self.d_i) > NORM_ATOL * max(1.0, self.d_i):
-            raise NotNormalized(f"squared norm {norm_sq:.12g}, expected {self.d_i}")
+        _require_norm(np.vdot(self.vector, self.vector).real, self.d_i, "squared norm")
         if check_marginal:
             self.marginal_choi().validate()
         return self
@@ -182,13 +161,9 @@ class KrausSet:
                 )
         object.__setattr__(self, "operators", ops)
 
-    def completeness_defect(self) -> float:
-        acc = sum(dagger(k) @ k for k in self.operators)
-        return float(np.max(np.abs(acc - np.eye(self.d_i))))
-
     def validate(self) -> "KrausSet":
-        if self.completeness_defect() > TP_ATOL:
-            raise NotTracePreserving("Kraus completeness relation violated")
+        acc = sum(dagger(k) @ k for k in self.operators)
+        _require_identity(acc, NotTracePreserving, "Kraus completeness sum K†K")
         return self
 
 
@@ -241,8 +216,7 @@ def apply_env_unitary(v: PurificationVector, u: np.ndarray) -> PurificationVecto
     u = np.asarray(u, dtype=complex)
     if u.shape != (v.d_e, v.d_e):
         raise InvalidDims(f"unitary shape {u.shape}, expected ({v.d_e}, {v.d_e})")
-    if np.max(np.abs(dagger(u) @ u - np.eye(v.d_e))) > 1e-10:
-        raise NotUnitary("environment operator is not unitary within 1e-10")
+    _require_identity(dagger(u) @ u, NotUnitary, "environment operator U†U")
     rotated = v.as_matrix() @ u.T
     return PurificationVector(v.d_i, v.d_o, v.d_e, rotated.reshape(-1))
 
@@ -294,7 +268,6 @@ def separable_purification(
     if upsilon.d_e != 1:
         raise InvalidDims("separable purification needs an isometric (d_e = 1) core")
     psi = _complex_vector(psi)
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-10:
-        raise NotNormalized("environment state psi must be normalized")
+    _require_norm(np.vdot(psi, psi).real, 1.0, "squared norm of psi")
     vec = np.kron(upsilon.vector, psi)
     return PurificationVector(upsilon.d_i, upsilon.d_o, psi.size, vec)

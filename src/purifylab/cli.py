@@ -210,7 +210,7 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
     if name == "purity":
         rep = estimate_moments(spec, n, "purity", workers=workers)
         expect = theory.avg_purity(*spec.dims)
-        tol = 3 * float(rep.stderr[0]) + 1e-12
+        tol = 3 * float(rep.stderr[0]) + metrics.CLOSED_FORM_SLACK
         return expect, rep.value, tol, abs(rep.value - expect) <= tol
     if name == "dep-constant":
         rep = estimate_average_error(
@@ -223,8 +223,8 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
     if name in _CLOSED_FORM_CHECKS:
         strat = parse_strategy(_CLOSED_FORM_CHECKS[name], spec)
         rep = estimate_average_error(strat, spec, n, workers=workers)
-        tol = 3 * rep.stderr + 1e-12
-        return rep.closed_form, rep.mean, tol, abs(rep.mean - rep.closed_form) <= tol
+        tol = 3 * rep.stderr + metrics.CLOSED_FORM_SLACK
+        return rep.closed_form, rep.mean, tol, rep.consistent_with_closed_form()
     if name == "moment-identity":
         ordered = estimate_moments(spec, n, "ordered_eig_sq", workers=workers)
         purity = estimate_moments(spec, n, "purity", workers=workers)

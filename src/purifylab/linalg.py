@@ -22,6 +22,7 @@ __all__ = [
     "psd_sqrt",
     "psd_factor",
     "trace_norm",
+    "uhlmann_overlap",
     "fidelity",
     "flip_operator",
     "swap_factors",
@@ -31,15 +32,13 @@ __all__ = [
     "dagger",
 ]
 
-# Relative floor below which eigenvalues are treated as exact zeros (rank
-# detection after partial traces and outer products).
+# The package's tolerances, one per property; the helper that applies each
+# rule states it (EIG_FLOOR: floor_eigenvalues, the rest: the _require_* checks).
 EIG_FLOOR = 1e-12
-
-# Relative negativity beyond which an operator is rejected as not PSD.
-PSD_TOL = 1e-8
-
+PSD_TOL = 1e-9
 HERM_TOL = 1e-10
-TRACE_TOL = 1e-9
+NORM_TOL = 1e-10
+ISO_TOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -93,11 +92,36 @@ def partial_trace(
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of m, or :class:`NotHermitian` by the HERM_TOL rule."""
     _check_square(m)
-    scale = max(np.max(np.abs(m)), 1.0)
-    if np.max(np.abs(m - dagger(m))) > HERM_TOL * scale:
+    if np.max(np.abs(m - dagger(m))) > HERM_TOL * np.max(np.abs(m)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return hermitianize(np.asarray(m, dtype=complex))
+
+
+def _require_psd(vals: np.ndarray) -> None:
+    """:class:`NotPSD` on a spectrum below ``-PSD_TOL * max|eig|``."""
+    if np.min(vals, initial=0.0) < -PSD_TOL * np.max(np.abs(vals), initial=0.0):
+        raise NotPSD(f"eigenvalue {np.min(vals):.3e} below the PSD tolerance")
+
+
+def _psd_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of m, after the Hermiticity and negativity rules."""
+    vals = np.linalg.eigvalsh(_require_hermitian(m))
+    _require_psd(vals)
+    return vals
+
+
+def _require_norm(value, target: float, what: str) -> None:
+    """:class:`NotNormalized` unless ``|value - target| <= NORM_TOL * target``."""
+    if abs(value - target) > NORM_TOL * target:
+        raise NotNormalized(f"{what} is {value:.12g}, expected {target}")
+
+
+def _require_identity(gram: np.ndarray, exc: type, what: str) -> None:
+    """Raise ``exc`` unless the Gram matrix V†V is the identity within ISO_TOL."""
+    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > ISO_TOL:
+        raise exc(f"{what} deviates from the identity")
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,13 +148,10 @@ def floor_eigenvalues(vals: np.ndarray) -> np.ndarray:
 
 
 def _psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``herm_eig`` of a PSD matrix with floored eigenvalues; a small negative
-    band (drift after partial traces) is clamped to zero, and anything below
-    ``-PSD_TOL * max|eig|`` raises :class:`NotPSD`."""
+    """``herm_eig`` of m through the negativity rule, with floored eigenvalues
+    (a negative band inside the rule, drift after partial traces, is zero)."""
     vals, vecs = herm_eig(m)
-    top = max(float(np.max(np.abs(vals), initial=0.0)), 1e-300)
-    if float(np.min(vals, initial=0.0)) < -PSD_TOL * top:
-        raise NotPSD(f"eigenvalue {np.min(vals):.3e} below the PSD tolerance")
+    _require_psd(vals)
     return floor_eigenvalues(vals), vecs
 
 
@@ -157,21 +178,28 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity of two density matrices.
+def uhlmann_overlap(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """||sqrt(M) sqrt(S S†)||_1^2 = (sum sqrt eig(S† M S))^2, with the
+    eigenvalues floored; over the last two axes of m, so a stack of M gives
+    one overlap each.  With S = ``psd_factor(W)`` this is the Uhlmann overlap
+    of M and W, one r x r spectrum for a rank-r W and no SVD."""
+    vals = floor_eigenvalues(np.linalg.eigvalsh(s.conj().T @ m @ s))
+    return np.sum(np.sqrt(vals), axis=-1) ** 2
 
-    Computed as ``||sqrt(rho) sqrt(sigma)||_1^2``, which equals the maximal
-    squared overlap between purifications of the two states.  Both inputs
-    must be unit-trace PSD matrices of the same size.
-    """
-    for name, op in (("rho", rho), ("sigma", sigma)):
-        side = _check_square(op)
-        if abs(np.trace(op) - 1.0) > TRACE_TOL:
-            raise NotNormalized(f"{name} has trace {np.trace(op):.12g}, expected 1")
+
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1^2`` of two density
+    matrices, the maximal squared overlap between their purifications, by
+    ``uhlmann_overlap`` on sigma's PSD factor.  Both inputs must be unit-trace
+    PSD matrices of the same size."""
+    _psd_eigvalsh(rho)
     if rho.shape != sigma.shape:
         raise InvalidDims("fidelity arguments must have equal shape")
-    f = trace_norm(psd_sqrt(rho) @ psd_sqrt(sigma)) ** 2
-    return float(min(max(f, 0.0), 1.0))
+    s = psd_factor(sigma)
+    for name, op in (("rho", rho), ("sigma", sigma)):
+        _require_norm(np.trace(op), 1.0, f"trace of {name}")
+    f = float(uhlmann_overlap(s, hermitianize(rho)))
+    return min(max(f, 0.0), 1.0)
 
 
 def flip_operator(d: int) -> np.ndarray:

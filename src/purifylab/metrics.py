@@ -35,7 +35,8 @@ from .ensembles import (
     haar_unitaries_batch,
     sample_ginibre,  # noqa: F401  perfbench/tests/check_tracer.py wraps this binding
 )
-from .errors import InvalidDims, NotPSD, TooLarge
+from .errors import InvalidDims, TooLarge
+from .linalg import _psd_eigvalsh, _require_norm
 from .linalg import (
     dagger,
     flip_operator,
@@ -70,6 +71,8 @@ __all__ = [
 ]
 
 ZERO_VARIANCE = 1e-20
+# absolute slack added to n_sigma standard errors in closed-form agreement
+CLOSED_FORM_SLACK = 1e-12
 _CHUNK = 512
 
 # Environment-unitary ascent: starting points (the identity plus Haar draws),
@@ -107,7 +110,7 @@ class ErrorReport:
         """None when no closed form is attached; otherwise the n-sigma check."""
         if self.closed_form is None:
             return None
-        slack = n_sigma * self.stderr + 1e-9
+        slack = n_sigma * self.stderr + CLOSED_FORM_SLACK
         return abs(self.mean - self.closed_form) <= slack
 
     def to_json_dict(self) -> dict:
@@ -160,9 +163,11 @@ def error_append(c: ChoiOperator, rho_e: np.ndarray) -> float:
 
     The orbit maximum of the overlap is the descending-eigenvalue pairing
     sum_i (c_i)^2 lambda_i (ordered trace inequality); see
-    :class:`~purifylab.strategies.Append`.
+    :class:`~purifylab.strategies.Append`.  rho_e must be a unit-trace PSD state.
     """
-    lam = np.linalg.eigvalsh(hermitianize(np.asarray(rho_e, dtype=complex)))
+    rho = np.asarray(rho_e, dtype=complex)
+    lam = _psd_eigvalsh(rho)
+    _require_norm(np.trace(rho), 1.0, "trace of rho_e")
     return float(Append(lam).errors(c.d_i, hermitianize(c.matrix)[None])[0])
 
 
@@ -251,11 +256,7 @@ def error_orbit_numeric(
     side = v.d_i * v.d_o * v.d_e
     if q.shape != (side, side):
         raise InvalidDims(f"machine output shape {q.shape}, expected {(side, side)}")
-    scale = max(float(np.max(np.abs(q))), 1e-300)
-    if np.max(np.abs(q - dagger(q))) > 1e-9 * scale:
-        raise NotPSD("machine output must be Hermitian")
-    if float(np.min(np.linalg.eigvalsh(hermitianize(q)))) < -1e-8 * scale:
-        raise NotPSD("machine output must be PSD")
+    _psd_eigvalsh(q)
 
     vmat = v.as_matrix()
     q_purity = float(np.vdot(q, q).real)

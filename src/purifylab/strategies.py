@@ -44,7 +44,7 @@ from .ensembles import (
     sample_haar_unitary,
 )
 from .errors import InvalidDims, InvalidWeights
-from .linalg import floor_eigenvalues, hermitianize, psd_factor
+from .linalg import hermitianize, psd_factor, uhlmann_overlap
 
 __all__ = [
     "PureOutput",
@@ -132,13 +132,11 @@ class PureOutput(_BankScored):
 
         By the Uhlmann relation the best overlap with a purification of C
         is the fidelity of the marginals, so the error is
-        2 d_i^2 - 2 ||sqrt(C) sqrt(W)||_1^2.  With W = S S† the trace norm
-        is tr sqrt(S† C S), an r x r spectrum per sample: r = 1 for a
-        separable output, d_i d_o for the maximally entangled one.
+        2 d_i^2 - 2 ||sqrt(C) sqrt(W)||_1^2, by ``linalg.uhlmann_overlap``
+        on W = S S†: an r x r spectrum per sample, r = 1 for a separable
+        output, d_i d_o for the maximally entangled one.
         """
-        s = self.support
-        vals = floor_eigenvalues(np.linalg.eigvalsh(s.conj().T @ chois @ s))
-        overlap = np.sum(np.sqrt(vals), axis=1) ** 2
+        overlap = uhlmann_overlap(self.support, chois)
         return _clip_errors(2.0 * d_i**2 - 2.0 * overlap, d_i)
 
     def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
