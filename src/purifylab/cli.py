@@ -79,6 +79,14 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
+def positive_int(text) -> int:
+    """An integer >= 1 (``ValueError`` otherwise), the type of ``--workers``."""
+    val = int(text)
+    if val < 1:
+        raise ValueError(f"{val} is below 1")
+    return val
+
+
 def _checked(name, text, key, cast):
     """``text`` from config or environment ``name``, checked like --key."""
     try:  # the check the flag's type or choices make
@@ -137,7 +145,7 @@ def _add_common(p: argparse.ArgumentParser, *, de_help="environment dimension"):
     p.add_argument("--do", type=int, default=None, help="output dimension")
     p.add_argument("--de", type=str, default=None, help=de_help)
     p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers")
+    p.add_argument("--workers", type=positive_int, default=None, help="parallel workers")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--config", type=str, default=None, help="key=value defaults file")
@@ -170,7 +178,7 @@ def _common_values(args, *, n_default: int = 2000):
         "do": _resolve(args, "do", cfg, int, 2),
         "de": _resolve(args, "de", cfg, str, "1"),
         "n": _resolve(args, "n", cfg, int, n_default),
-        "workers": _resolve(args, "workers", cfg, int, 1),
+        "workers": _resolve(args, "workers", cfg, positive_int, 1),
         "format": _resolve(args, "format", cfg, str, "csv"),
         "seed": _resolve_seed(args, cfg),
         "out": args.out or cfg.get("out"),
@@ -311,6 +319,8 @@ def cmd_spectrum(args) -> int:
     if bins < 10:
         raise PurifyLabError("spectrum needs at least 10 bins")
     draws = args.draws if args.draws is not None else 200
+    if draws < 1:
+        raise PurifyLabError("spectrum needs --draws >= 1")
     d_e = _single_de("spectrum", vals["de"])
     spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
     c_ratio = spec.d_i * spec.d_o / spec.d_e

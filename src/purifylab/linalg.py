@@ -51,6 +51,11 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
+def _purities(chois: np.ndarray) -> np.ndarray:
+    """tr(C^2) = ||C||_F^2 of each matrix in a Hermitian stack, with no spectrum."""
+    return np.einsum("bij,bij->b", chois.conj(), chois).real
+
+
 def _check_square(m: np.ndarray) -> int:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDims(f"expected a square matrix, got shape {m.shape}")

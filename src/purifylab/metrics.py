@@ -35,13 +35,12 @@ from .ensembles import (
     haar_unitaries_batch,
     sample_ginibre,  # noqa: F401  perfbench/tests/check_tracer.py wraps this binding
 )
-from .errors import InvalidDims, TooLarge
-from .linalg import _psd_eigvalsh, _require_norm
+from .errors import EnvironmentTooSmall, InvalidDims, TooLarge
+from .linalg import _psd_eigvalsh, _purities, _require_hermitian
 from .linalg import (
     dagger,
     flip_operator,
     floor_eigenvalues,
-    hermitianize,
     permute_factors,
     swap_factors,
 )
@@ -163,12 +162,15 @@ def error_append(c: ChoiOperator, rho_e: np.ndarray) -> float:
 
     The orbit maximum of the overlap is the descending-eigenvalue pairing
     sum_i (c_i)^2 lambda_i (ordered trace inequality); see
-    :class:`~purifylab.strategies.Append`.  rho_e must be a unit-trace PSD state.
+    :class:`~purifylab.strategies.Append`.  rho_e must be a unit-trace PSD
+    state, c a valid channel of rank at most dim rho_e (EnvironmentTooSmall).
     """
-    rho = np.asarray(rho_e, dtype=complex)
-    lam = _psd_eigvalsh(rho)
-    _require_norm(np.trace(rho), 1.0, "trace of rho_e")
-    return float(Append(lam).errors(c.d_i, hermitianize(c.matrix)[None])[0])
+    lam = np.linalg.eigvalsh(_require_hermitian(np.asarray(rho_e, dtype=complex)))
+    machine = Append(lam)
+    r = c.validate().rank()
+    if r > lam.size:
+        raise EnvironmentTooSmall(f"rank {r} exceeds environment size {lam.size}")
+    return float(machine.errors(c.d_i, c.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +381,8 @@ _MOMENT_NAMES = ("purity", "sqrt_trace_sq", "ordered_eig_sq", "cmax_sq")
 def _moment_chunk(spec: EnsembleSpec, which: str, purpose: int, lo: int, hi: int):
     chois = _choi_bank(spec, lo, hi, purpose)
     if which == "purity":
-        # tr C^2 = ||C||_F^2, the kernel of AverageEnvUnitary.errors
-        return np.einsum("bij,bij->b", chois.conj(), chois).real[:, None]
+        # the kernel of Append.errors on a flat spectrum
+        return _purities(chois)[:, None]
     vals = floor_eigenvalues(np.linalg.eigvalsh(chois))  # ascending
     if which == "sqrt_trace_sq":
         return (np.sum(np.sqrt(vals), axis=1) ** 2)[:, None]

@@ -3,14 +3,14 @@
 Each machine class carries everything the package knows about it: its
 output Q(C) on the A x B x E space (a PSD operator of trace d_i), its exact
 per-sample error over a range of sample indices, its moment-free closed
-form where one exists, and its label.  The five families:
+form where one exists, and its label.  The four families:
 
 * ``PureOutput``        - ignore the input, emit a fixed pure Choi operator;
 * ``Append``            - leave the input unchanged, append an environment
-  state of fixed spectrum (maximally mixed, optimal weights, pure);
+  state of fixed spectrum (maximally mixed, optimal weights, pure); the
+  maximally mixed state commutes with every environment unitary, so its
+  orbit minimum is also the averaged-unitary bound (``avg-ue``);
 * ``MapToDepolarizing`` - emit the flat operator 1/(d_o d_e);
-* ``AverageEnvUnitary`` - the append-maximally-mixed machine scored by the
-  environment-unitary average instead of the minimum;
 * ``Estimation``        - a k-copy measure-and-reprepare machine built on
   single-copy tomography in random bases.
 """
@@ -44,13 +44,13 @@ from .ensembles import (
     sample_haar_unitary,
 )
 from .errors import InvalidDims, InvalidWeights
+from .linalg import _purities, _require_norm, _require_psd
 from .linalg import hermitianize, psd_factor, uhlmann_overlap
 
 __all__ = [
     "PureOutput",
     "Append",
     "MapToDepolarizing",
-    "AverageEnvUnitary",
     "Estimation",
     "Strategy",
     "STRATEGY_GRAMMAR",
@@ -97,12 +97,13 @@ class _BankScored:
 def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
     """Exact orbit-minimized error of a fixed pure output against channel c.
 
-    A batch of one through :meth:`PureOutput.errors`.  Depends on w only
-    through its marginal; environments of different size need no explicit
-    embedding.
+    A batch of one through :meth:`PureOutput.errors`, after ``c.validate()``.
+    Depends on w only through its marginal; environments of different size
+    need no explicit embedding.
     """
     if (c.d_i, c.d_o) != (w.d_i, w.d_o):
         raise InvalidDims("channel and pure output dims differ")
+    c.validate()
     return float(PureOutput(w).errors(c.d_i, c.matrix[None])[0])
 
 
@@ -153,9 +154,11 @@ class Append(_BankScored):
     """Append an environment state of the given spectrum to the unchanged input.
 
     The orbit minimum depends on the appended state only through its
-    spectrum, which is kept in descending order.  The exact error is the
-    descending-eigenvalue pairing of the ordered trace inequality,
-    d_i^2 + tr(C^2) sum lambda^2 - 2 sum_i (c_i)^2 lambda_i.
+    spectrum, kept in descending order; it must be a state's (``NotPSD``,
+    ``NotNormalized``).  Against C of rank <= m, the spectrum size, the exact
+    error is the descending pairing of the ordered trace inequality,
+    d_i^2 + tr(C^2) sum lambda^2 - 2 sum_i (c_i)^2 lambda_i; a flat
+    spectrum pairs 1/m with every c_i, giving d_i^2 - tr(C^2) / m.
     """
 
     spectrum: np.ndarray
@@ -165,6 +168,8 @@ class Append(_BankScored):
         lam = np.asarray(self.spectrum, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise InvalidDims("appended spectrum must be a non-empty vector")
+        _require_psd(lam)
+        _require_norm(lam.sum(), 1.0, "sum of the appended spectrum")
         # contiguous, so a copy sent to a pool worker multiplies alike
         object.__setattr__(self, "spectrum", np.ascontiguousarray(np.sort(lam)[::-1]))
 
@@ -172,8 +177,11 @@ class Append(_BankScored):
         return np.kron(c.matrix, np.diag(self.spectrum).astype(complex))
 
     def errors(self, d_i: int, chois: np.ndarray) -> np.ndarray:
-        """Exact errors against a stack of Choi matrices."""
+        """Exact errors against a stack of Choi matrices; no spectrum of C
+        for a flat one (Frobenius purity kernel)."""
         lam = self.spectrum
+        if lam[0] == lam[-1]:
+            return _clip_errors(d_i**2 - _purities(chois) / lam.size, d_i)
         cvals = np.linalg.eigvalsh(chois)[:, ::-1]  # descending
         k = min(cvals.shape[1], lam.size)
         purity = np.sum(cvals**2, axis=1)
@@ -207,26 +215,6 @@ class MapToDepolarizing:
 
 
 @dataclass(frozen=True)
-class AverageEnvUnitary(_BankScored):
-    """Append-maximally-mixed machine, scored by the average over environment
-    unitaries rather than the orbit minimum: d_i^2 - tr(C^2) / d_e."""
-
-    d_e: int
-    label: ClassVar[str] = "avg-ue"
-
-    def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
-        return np.kron(c.matrix, np.eye(self.d_e) / self.d_e)
-
-    def errors(self, d_i: int, chois: np.ndarray) -> np.ndarray:
-        """Per-sample averaged objective against a stack of Choi matrices."""
-        purities = np.einsum("bij,bij->b", chois.conj(), chois).real
-        return _clip_errors(d_i**2 - purities / self.d_e, d_i)
-
-    def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
-        return theory.eps_avg_ue(*spec.dims)
-
-
-@dataclass(frozen=True)
 class Estimation:
     """Measure k copies, reprepare the estimated purification.
 
@@ -251,7 +239,8 @@ class Estimation:
         for j, i in enumerate(range(lo, hi)):
             gen = spec.stream(i).generator()
             c, _ = sample_choi(spec, gen)
-            out[j] = error_pure_output(c, tomography_estimate(c, self.k, gen))
+            est = tomography_estimate(c, self.k, gen)
+            out[j] = PureOutput(est).errors(spec.d_i, c.matrix[None])[0]
         return out
 
     def closed_form(self, spec: EnsembleSpec) -> Optional[float]:
@@ -264,26 +253,18 @@ STRATEGY_GRAMMAR = (
 )
 
 
-def optimal_append_spectrum(
-    weights, avg_purity: float, *, tol: float = 1e-6
-) -> np.ndarray:
-    """Error-minimizing spectrum of the appended state: lambda_i = w_i / purity.
+def optimal_append_spectrum(weights) -> np.ndarray:
+    """Error-minimizing spectrum of the appended state: lambda = w / sum(w).
 
-    ``weights`` must be non-negative and non-increasing with sum equal to
-    the average purity within ``tol`` (the thresholding solution of the
-    constrained quadratic program has threshold zero exactly then).
+    ``weights`` are the ordered second moments w_i = E[c_i^2], non-negative
+    and non-increasing; their sum is the average purity E[tr C^2].
     """
     w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w < 0):
-        raise InvalidWeights("weights must be non-negative and non-empty")
+    if w.size == 0 or np.any(w < 0) or not w.sum() > 0:
+        raise InvalidWeights("weights must be non-negative with a positive sum")
     if np.any(np.diff(w) > 1e-12 * max(w.max(), 1.0)):
         raise InvalidWeights("weights must be non-increasing")
-    if abs(w.sum() - avg_purity) > tol * max(1.0, abs(avg_purity)):
-        raise InvalidWeights(
-            f"sum of weights {w.sum():.6g} is not the average purity "
-            f"{avg_purity:.6g} within tolerance"
-        )
-    return w / avg_purity
+    return w / w.sum()
 
 
 _TOMO_CHUNK = 2048
@@ -367,7 +348,7 @@ def parse_strategy(
     if text == "pure:random":
         _, w = sample_choi(spec, spec.stream(0, PURPOSE_FIXED))
         return PureOutput(w, label=text)
-    if text == "append:maxmixed":
+    if text in ("append:maxmixed", "avg-ue"):
         return Append(np.full(spec.d_e, 1.0 / spec.d_e), label=text)
     if text == "append:optimal":
         if append_weights is None:
@@ -378,15 +359,13 @@ def parse_strategy(
         w = np.zeros(spec.d_e)
         got = np.asarray(append_weights, dtype=float)
         w[: got.size] = got[: spec.d_e]
-        return Append(optimal_append_spectrum(w, w.sum()), label=text)
+        return Append(optimal_append_spectrum(w), label=text)
     if text == "append:pure":
         lam = np.zeros(spec.d_e)
         lam[0] = 1.0
         return Append(lam, label=text)
     if text == "dep":
         return MapToDepolarizing(spec.d_e)
-    if text == "avg-ue":
-        return AverageEnvUnitary(spec.d_e)
     if text.startswith("tomo:k="):
         raw = text.split("=", 1)[1]
         if raw in ("inf", "none"):

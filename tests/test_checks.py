@@ -18,6 +18,7 @@ from purifylab.channels import (
 from purifylab.cli import main
 from purifylab.ensembles import EnsembleSpec, sample_choi
 from purifylab.errors import (
+    EnvironmentTooSmall,
     NotHermitian,
     NotNormalized,
     NotPSD,
@@ -25,6 +26,7 @@ from purifylab.errors import (
     NotUnitary,
 )
 from purifylab.metrics import ErrorReport, error_append, error_orbit_numeric
+from purifylab.strategies import Append, error_pure_output
 
 # multiples of a rule's tolerance: just inside, just outside
 INSIDE, OUTSIDE = 0.5, 2.0
@@ -152,6 +154,46 @@ class TestErrorAppendState:
     def test_trace_boundary(self, f):
         rho = (1.0 + f * linalg.NORM_TOL) * np.eye(2) / 2
         check(f, NotNormalized, lambda: error_append(sampled_choi(), rho))
+
+
+class TestAppendSpectrum:
+    @SIDES
+    def test_negativity(self, f):
+        delta = f * linalg.PSD_TOL
+        check(f, NotPSD, lambda: Append([1.0 + delta, -delta]))
+
+    @SIDES
+    def test_sum(self, f):
+        lam = (1.0 + f * linalg.NORM_TOL) * np.array([0.5, 0.3, 0.2])
+        check(f, NotNormalized, lambda: Append(lam))
+
+
+# Trace d_i and trace-preserving, but not PSD / not Hermitian.
+NOT_PSD_CHOI = ChoiOperator(2, 2, np.diag([2.0, -1.0, 1.0, 0.0]).astype(complex))
+NOT_HERMITIAN_CHOI = ChoiOperator(2, 2, skewed(np.eye(4) / 2, 0.4))
+
+
+class TestSingleSampleChannel:
+    """The single-sample routes check the channel they score."""
+
+    @pytest.mark.parametrize(
+        "c, exc", [(NOT_PSD_CHOI, NotPSD), (NOT_HERMITIAN_CHOI, NotHermitian)],
+        ids=["not-psd", "not-hermitian"],
+    )
+    def test_error_append_and_pure_output(self, c, exc):
+        with pytest.raises(exc):
+            error_append(c, np.array([[1.0]]))
+        with pytest.raises(exc):
+            error_pure_output(c, max_entangled_purification(2, 2))
+
+    def test_rank_above_environment(self):
+        # rank 3 at (2, 2, 3) has no purification on a 2-dim environment
+        c = sampled_choi(d_e=3)
+        error_append(c, np.eye(3) / 3)
+        with pytest.raises(EnvironmentTooSmall):
+            error_append(c, np.eye(2) / 2)
+        with pytest.raises(EnvironmentTooSmall):
+            error_append(ChoiOperator(2, 2, np.eye(4) / 2), np.array([[1.0]]))
 
 
 class TestRelativeRules:

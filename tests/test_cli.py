@@ -183,6 +183,11 @@ class TestSpectrum:
     def test_min_bins(self):
         assert run_cli(["spectrum", "--bins", "5"]) == 2
 
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_min_draws(self, capsys, draws):
+        assert run_cli(["spectrum", "--draws", draws]) == 2
+        assert "--draws" in capsys.readouterr().err
+
     def test_header_has_no_sample_count(self, tmp_path):
         # The histogram pools --draws channels; n plays no part in it.
         out = tmp_path / "spec.csv"
@@ -300,6 +305,19 @@ class TestConfigAndEnv:
         assert run_cli(argv + ["--out", str(out)]) == 2
         key, value = line.split("=")
         assert f"{key}={value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, value):
+        # from the flag or from a file: no run, so no header claims one
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--de", "1", "--n", "10", "--strategies", "dep", "--out", str(out)]
+        assert run_cli(argv + ["--workers", value]) == 2
+        assert "--workers" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"workers={value}\n")
+        assert run_cli(argv + ["--config", str(cfg)]) == 2
+        assert f"workers={value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):

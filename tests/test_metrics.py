@@ -35,7 +35,6 @@ from purifylab.metrics import (
 )
 from purifylab.strategies import (
     Append,
-    AverageEnvUnitary,
     Estimation,
     MapToDepolarizing,
     parse_strategy,
@@ -108,7 +107,7 @@ class TestSingleSampleRoutes:
         for i in range(0, 100, 2):
             c, _ = sampled(spec, i)
             if text == "avg-ue":
-                single = AverageEnvUnitary(spec.d_e).errors(spec.d_i, c.matrix[None])[0]
+                single = strat.errors(spec.d_i, c.matrix[None])[0]
             else:
                 single = error_pure_output(c, strat.w)
             assert np.array_equal(single, rows[i])
@@ -160,7 +159,7 @@ class TestConstantRoutes:
     def test_avg_env_unitary_per_sample(self):
         spec = EnsembleSpec(2, 2, 2, seed=68)
         c, _ = sampled(spec)
-        err = AverageEnvUnitary(2).errors(c.d_i, c.matrix[None])[0]
+        err = parse_strategy("avg-ue", spec).errors(c.d_i, c.matrix[None])[0]
         assert err == pytest.approx(4 - c.purity() / 2)
 
 
@@ -273,7 +272,7 @@ class TestEstimateAverageError:
 
     def test_avg_ue_matches_closed_form(self):
         spec = EnsembleSpec(2, 2, 2, seed=84)
-        rep = estimate_average_error(AverageEnvUnitary(2), spec, 5000)
+        rep = estimate_average_error(parse_strategy("avg-ue", spec), spec, 5000)
         assert rep.closed_form == pytest.approx(2.8)
         assert rep.consistent_with_closed_form(3)
 

@@ -69,7 +69,7 @@ def test_avg_ue_equals_append_maxmixed(spec):
     # minimum of the append machine is the environment average.
     avg = per_sample_errors(make_strategy("avg-ue", spec), spec, 20)
     app = per_sample_errors(make_strategy("append:maxmixed", spec), spec, 20)
-    assert np.max(np.abs(avg - app)) <= 1e-12
+    assert np.array_equal(avg, app)
 
 
 @st.composite

@@ -38,6 +38,16 @@ def uhlmann_oracle(w, d_i, chois):
     return np.clip(2.0 * d_i**2 - 2.0 * overlap, 0.0, 2.0 * d_i**2)
 
 
+def pairing_oracle(lam, d_i, chois):
+    """The former Append.errors for every spectrum: the descending pairing."""
+    cvals = np.linalg.eigvalsh(chois)[:, ::-1]
+    k = min(cvals.shape[1], lam.size)
+    purity = np.sum(cvals**2, axis=1)
+    pair = (cvals[:, :k] ** 2) @ lam[:k]
+    err = d_i**2 + purity * float(np.sum(lam**2)) - 2.0 * pair
+    return np.clip(err, 0.0, 2.0 * d_i**2)
+
+
 ALL_TEXTS = [
     "pure:omega",
     "pure:separable",
@@ -101,11 +111,11 @@ class TestApply:
 
 class TestOptimalAppendSpectrum:
     def test_rank_one_degenerate(self):
-        lam = optimal_append_spectrum([4.0, 0.0, 0.0], 4.0)
+        lam = optimal_append_spectrum([4.0, 0.0, 0.0])
         assert_allclose(lam, [1.0, 0.0, 0.0])
 
     def test_uniform(self):
-        lam = optimal_append_spectrum([0.5, 0.5, 0.5, 0.5], 2.0)
+        lam = optimal_append_spectrum([0.5, 0.5, 0.5, 0.5])
         assert_allclose(lam, [0.25] * 4)
 
     def test_monte_carlo_weights(self):
@@ -113,21 +123,21 @@ class TestOptimalAppendSpectrum:
 
         spec = EnsembleSpec(2, 2, 2, seed=2024)
         w = metrics.estimate_ordered_weights(spec, 10_000)
-        lam = optimal_append_spectrum(w, theory.avg_purity(2, 2, 2), tol=0.02)
-        assert abs(lam.sum() - 1.0) < 1e-3
+        lam = optimal_append_spectrum(w)
+        assert abs(w.sum() / theory.avg_purity(2, 2, 2) - 1.0) < 1e-3
         assert np.all(np.diff(lam) <= 1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidWeights):
-            optimal_append_spectrum([1.0, -0.1], 0.9)
+            optimal_append_spectrum([1.0, -0.1])
 
     def test_rejects_increasing(self):
         with pytest.raises(InvalidWeights):
-            optimal_append_spectrum([0.2, 0.8], 1.0)
+            optimal_append_spectrum([0.2, 0.8])
 
-    def test_rejects_inconsistent_sum(self):
+    def test_rejects_zero_sum(self):
         with pytest.raises(InvalidWeights):
-            optimal_append_spectrum([1.0, 0.5], 2.0)
+            optimal_append_spectrum([0.0, 0.0])
 
 
 class TestTomographyEstimate:
@@ -311,6 +321,35 @@ class TestSupportRoute:
         omega = parse_strategy("pure:omega", spec).support
         assert omega.shape == (side, side)
         assert_allclose(omega @ omega.conj().T, np.eye(side) / spec.d_o, atol=1e-15)
+
+
+FLAT_DIMS = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 6), (1, 2, 3), (2, 3, 5)]
+
+
+class TestFlatAppendRoute:
+    """Append.errors on a flat spectrum (Frobenius kernel) against the pairing.
+
+    The dims cover d_E below, at and above d_I d_O."""
+
+    @pytest.mark.parametrize("dims", FLAT_DIMS, ids=str)
+    @pytest.mark.parametrize("text", ["append:maxmixed", "avg-ue"])
+    def test_matches_pairing_oracle(self, dims, text):
+        spec = EnsembleSpec(*dims, seed=64)
+        chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
+        s = parse_strategy(text, spec)
+        assert isinstance(s, Append) and s.label == text
+        assert s.closed_form(spec) == theory.eps_avg_ue(*dims)
+        got = s.errors(spec.d_i, chois)
+        oracle = pairing_oracle(s.spectrum, spec.d_i, chois)
+        assert np.max(np.abs(got - oracle)) <= 1e-12
+
+    def test_optimal_at_trivial_environment_is_flat(self):
+        spec = EnsembleSpec(2, 2, 1, seed=65)
+        s = metrics.make_strategy("append:optimal", spec, n_weights=100)
+        assert np.array_equal(s.spectrum, [1.0])
+        chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
+        oracle = pairing_oracle(s.spectrum, spec.d_i, chois)
+        assert np.max(np.abs(s.errors(spec.d_i, chois) - oracle)) <= 1e-12
 
 
 SCORED_TEXTS = [
