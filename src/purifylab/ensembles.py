@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import ChoiOperator, PurificationVector, choi_vector
 from .errors import DomainError, InvalidDims, SingularNormalizer
-from .linalg import complete_elliptic, herm_eig, partial_trace
+from .linalg import complete_elliptic, dagger, herm_eig, partial_trace
 
 __all__ = [
     "EnsembleSpec",
@@ -236,7 +236,7 @@ def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray
 def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
     """Choi matrices (batch, d_i*d_o, d_i*d_o) for sample indices [lo, hi)."""
     vm = _vmat_bank(spec, lo, hi, purpose)
-    return vm @ vm.conj().transpose(0, 2, 1)
+    return vm @ dagger(vm)
 
 
 def sample_choi(spec: EnsembleSpec, rs: RandomStream | np.random.Generator):

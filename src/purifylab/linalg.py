@@ -34,6 +34,7 @@ __all__ = [
 
 # The package's tolerances, one per property; the helper that applies each
 # rule states it (EIG_FLOOR: floor_eigenvalues, the rest: the _require_* checks).
+# Each _require_* check raises unless its `<=` test holds, so NaN fails it.
 EIG_FLOOR = 1e-12
 PSD_TOL = 1e-9
 HERM_TOL = 1e-10
@@ -42,8 +43,8 @@ ISO_TOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of the last two axes, so a stack maps matrix by matrix."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -99,14 +100,14 @@ def partial_trace(
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     """The Hermitian part of m, or :class:`NotHermitian` by the HERM_TOL rule."""
     _check_square(m)
-    if np.max(np.abs(m - dagger(m))) > HERM_TOL * np.max(np.abs(m)):
+    if not np.max(np.abs(m - dagger(m))) <= HERM_TOL * np.max(np.abs(m)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return hermitianize(np.asarray(m, dtype=complex))
 
 
 def _require_psd(vals: np.ndarray) -> None:
     """:class:`NotPSD` on a spectrum below ``-PSD_TOL * max|eig|``."""
-    if np.min(vals, initial=0.0) < -PSD_TOL * np.max(np.abs(vals), initial=0.0):
+    if not -PSD_TOL * np.max(np.abs(vals), initial=0.0) <= np.min(vals, initial=0.0):
         raise NotPSD(f"eigenvalue {np.min(vals):.3e} below the PSD tolerance")
 
 
@@ -119,13 +120,13 @@ def _psd_eigvalsh(m: np.ndarray) -> np.ndarray:
 
 def _require_norm(value, target: float, what: str) -> None:
     """:class:`NotNormalized` unless ``|value - target| <= NORM_TOL * target``."""
-    if abs(value - target) > NORM_TOL * target:
+    if not abs(value - target) <= NORM_TOL * target:
         raise NotNormalized(f"{what} is {value:.12g}, expected {target}")
 
 
 def _require_identity(gram: np.ndarray, exc: type, what: str) -> None:
     """Raise ``exc`` unless the Gram matrix V†V is the identity within ISO_TOL."""
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > ISO_TOL:
+    if not np.max(np.abs(gram - np.eye(gram.shape[0]))) <= ISO_TOL:
         raise exc(f"{what} deviates from the identity")
 
 

@@ -196,6 +196,37 @@ class TestSingleSampleChannel:
             error_append(ChoiOperator(2, 2, np.eye(4) / 2), np.array([[1.0]]))
 
 
+NAN = float("nan")
+
+
+class TestNaNFailsEveryRule:
+    """Each rule raises unless its `<=` test holds, and NaN compares False."""
+
+    def test_hermiticity(self):
+        with pytest.raises(NotHermitian):
+            ChoiOperator(1, 2, np.array([[NAN, 0.0], [0.0, 1.0]])).validate()
+
+    def test_negativity(self):
+        with pytest.raises(NotPSD):
+            Append([NAN])
+
+    def test_norm(self):
+        ups = identity_isometry_purification(2, 2)
+        with pytest.raises(NotNormalized):
+            separable_purification(ups, np.array([NAN, 0.0, 0.0]))
+
+    def test_identity(self):
+        v = max_entangled_purification(1, 2)
+        with pytest.raises(NotUnitary):
+            apply_env_unitary(v, np.diag([NAN, 1.0]))
+
+    def test_orbit_input(self):
+        # used to pass the input check and stop in numpy's SVD
+        v = max_entangled_purification(1, 2)
+        with pytest.raises(NotHermitian):
+            error_orbit_numeric(np.diag([NAN, 0.0, 0.0, 1.0]), v)
+
+
 class TestRelativeRules:
     @SIDES
     def test_hermiticity_has_no_unit_floor(self, f):

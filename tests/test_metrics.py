@@ -203,6 +203,20 @@ class TestOrbitNumeric:
             res = error_orbit_numeric(om.projector(), v, rs=RandomStream(80, i))
             assert res.error == pytest.approx(error_pure_output(c, om), abs=1e-6)
 
+    @pytest.mark.parametrize("d_e", [2, 4])
+    def test_flat_ridge(self, d_e):
+        # An appended spectrum within 1e-7 of flat leaves the overlap a nearly
+        # flat ridge over the orbit, the case the Barzilai-Borwein step is for.
+        spec = EnsembleSpec(2, 2, d_e, seed=83)
+        rng = np.random.default_rng(83)
+        for i in range(10):
+            c, v = sampled(spec, i)
+            lam = 1 / d_e + 1e-7 * rng.standard_normal(d_e)
+            rho = np.diag(lam / lam.sum())
+            res = error_orbit_numeric(np.kron(c.matrix, rho), v, rs=RandomStream(83, i))
+            assert abs(res.error - error_append(c, rho)) <= 1e-9
+            assert res.converged
+
     def test_never_worse_than_identity_start(self):
         spec = EnsembleSpec(2, 2, 3, seed=74)
         rng = np.random.default_rng(74)

@@ -17,9 +17,11 @@ from purifylab.ensembles import (
     haar_unitaries_batch,
     sample_choi,
 )
-from purifylab.linalg import floor_eigenvalues
+from purifylab.linalg import dagger, floor_eigenvalues
 from purifylab.metrics import (
     _moment_chunk,
+    _overlap,
+    _polar_unitary,
     error_pure_output,
     make_strategy,
     per_sample_errors,
@@ -98,6 +100,35 @@ def test_pure_output_error_ignores_env_unitary(spec, index, d_e_w, data):
     u = data.draw(unitaries(d_e_w))
     got = error_pure_output(c, apply_env_unitary(w, u))
     assert abs(got - error_pure_output(c, w)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(spec=specs(), index=st.integers(0, 2**20), data=st.data())
+def test_polar_gradient_step_never_lowers_overlap(spec, index, data):
+    # f(U) = <V_U|Q|V_U> is a convex quadratic in U for PSD Q, so
+    # f(U') >= f(U) + Re tr G†(U' - U), and U' = polar(G) maximizes the bound.
+    side = spec.d_i * spec.d_o * spec.d_e
+    rank = data.draw(st.integers(1, side))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((side, rank)) + 1j * rng.standard_normal((side, rank))
+    q = x @ dagger(x)
+    vmat = sample_choi(spec, spec.stream(index))[1].as_matrix()
+    u = data.draw(unitaries(spec.d_e))[None]
+    f, grad = _overlap(q, vmat, u)
+    f_polar, _ = _overlap(q, vmat, _polar_unitary(grad))
+    assert f_polar[0] >= f[0] - 1e-12 * max(1.0, f[0])
+
+
+@PROPERTY_SETTINGS
+@given(
+    shape=st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dagger_of_stack_is_dagger_of_each(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    each = np.array([m.conj().T for m in a]).reshape(shape[0], shape[2], shape[1])
+    assert np.array_equal(dagger(a), each)
 
 
 @PROPERTY_SETTINGS
