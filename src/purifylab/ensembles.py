@@ -11,7 +11,9 @@ reference density that governs the spectra at large dimension.
 
 All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
-matter how samples are distributed over workers.
+matter how samples are distributed over workers.  The sample bank builds
+one stream per sample and writes each Ginibre draw straight into its row of
+the bank (``sample_ginibre(..., out=row)``), with no temporary.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# The Philox counter every stream starts at; Philox copies it and never
+# writes it back.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 # Purpose tags partitioning the substream index space, so that e.g. weight
 # estimation never consumes the streams used for error evaluation.
@@ -78,7 +83,17 @@ class EnsembleSpec:
         return (self.d_i, self.d_o, self.d_e)
 
     def stream(self, index: int, purpose: int = PURPOSE_SAMPLE) -> "RandomStream":
-        """Counter-based substream for sample ``index`` of a given purpose."""
+        """Counter-based substream for sample ``index`` of a given purpose.
+
+        The index is ``(purpose << 48) + index``; an index outside [0, 2^48)
+        or a purpose outside [0, 2^16) would alias another purpose's streams
+        (or wrap the 64-bit key word), so both raise :class:`InvalidDims`.
+        """
+        if not (0 <= index < 1 << 48 and 0 <= purpose < 1 << 16):
+            raise InvalidDims(
+                f"stream needs 0 <= index < 2^48 and 0 <= purpose < 2^16, "
+                f"got index {index}, purpose {purpose}"
+            )
         return RandomStream(self.seed, (purpose << 48) + index)
 
 
@@ -93,7 +108,9 @@ class RandomStream:
 
     The Philox key is ``[seed mod 2^64, index mod 2^64]`` and the counter
     starts at 0; :meth:`EnsembleSpec.stream` forms the index as
-    ``(purpose << 48) + sample``.  Building a generator reads no OS entropy.
+    ``(purpose << 48) + sample``.  Building a generator reads no OS entropy,
+    and the zero counter goes in as a ready uint64 array (``_ZERO_COUNTER``),
+    so numpy does not convert the integer 0 word by word for every stream.
     """
 
     seed: int
@@ -101,7 +118,9 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_key_seed_type()(key)))
+        return np.random.Generator(
+            np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER)
+        )
 
 
 @functools.cache
@@ -133,19 +152,48 @@ def _as_generator(rs: RandomStream | np.random.Generator) -> np.random.Generator
     return rs.generator()
 
 
-def _complex_normals(z: np.ndarray) -> np.ndarray:
-    """Ginibre entries from standard normals whose last axis holds (Re, Im)."""
-    # each trailing pair read in place as one complex128
-    return z.view(complex)[..., 0] / math.sqrt(2.0)
+def _complex_normals(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill the complex128 C-contiguous array ``out`` with Ginibre entries.
+
+    The standard normals go straight into ``out``'s real view, each
+    consecutive (Re, Im) pair one entry, in the order of
+    ``rng.standard_normal((*out.shape, 2))``, and are scaled there by
+    1/sqrt(2).  numpy divides a complex by the real sqrt(2) as one multiply
+    by that reciprocal, so the entries are bit-identical to
+    ``(z[..., 0] + 1j * z[..., 1]) / sqrt(2)``.
+    """
+    x = out.view(float)
+    rng.standard_normal(out=x)
+    x *= 1.0 / math.sqrt(2.0)
+    return out
 
 
 def sample_ginibre(
-    rows: int, cols: int, rs: RandomStream | np.random.Generator
+    rows: int,
+    cols: int,
+    rs: RandomStream | np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Complex Ginibre matrix: i.i.d. entries with Re, Im ~ N(0, 1/2)."""
+    """Complex Ginibre matrix: i.i.d. entries with Re, Im ~ N(0, 1/2).
+
+    With ``out`` (a C-contiguous complex128 array of shape (rows, cols)) the
+    draw is written there and ``out`` is returned; the bits are those of the
+    allocating call.
+    """
     if rows < 1 or cols < 1:
         raise InvalidDims("Ginibre dimensions must be >= 1")
-    return _complex_normals(_as_generator(rs).standard_normal((rows, cols, 2)))
+    if out is None:
+        out = np.empty((rows, cols), dtype=complex)
+    elif (
+        out.shape != (rows, cols)
+        or out.dtype != np.complex128
+        or not out.flags.c_contiguous
+    ):
+        raise InvalidDims(
+            f"out must be a C-contiguous complex128 array of shape {(rows, cols)}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return _complex_normals(out, _as_generator(rs))
 
 
 def sample_haar_isometry(
@@ -219,7 +267,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, drawn in one pass."""
-    return _qr_haar_batch(_complex_normals(rng.standard_normal((count, d, d, 2))))
+    return _qr_haar_batch(_complex_normals(np.empty((count, d, d), dtype=complex), rng))
 
 
 def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
@@ -229,7 +277,7 @@ def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray
     count = hi - lo
     gs = np.empty((count, big, d_i), dtype=complex)
     for j, i in enumerate(range(lo, hi)):
-        gs[j] = sample_ginibre(big, d_i, spec.stream(i, purpose))
+        sample_ginibre(big, d_i, spec.stream(i, purpose), out=gs[j])
     return choi_vector(_qr_haar_batch(gs)).reshape(count, d_i * d_o, d_e)
 
 

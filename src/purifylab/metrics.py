@@ -214,32 +214,39 @@ def _ascend(
     lower f: Q is PSD, so f is a convex quadratic in U, f(U') >= f(U) +
     Re tr G†(U' - U), and polar(G) maximizes the bound over unitaries.  A
     start stops at the stationarity rule or when neither step raises f; it is
-    converged unless the iteration cap stops it.
+    converged unless the iteration cap stops it.  A stopped start leaves the
+    stack, so each iteration works on the starts still climbing.
     """
     f, grad = _overlap(q, vmat, u)
     xi = _tangent_project(u, grad)
     step = np.full(len(u), _INITIAL_STEP)
-    moving = np.ones(len(u), dtype=bool)
+    # indices of the starts still climbing; only these are recomputed
+    live = np.arange(len(u))
     for _ in range(_MAX_ITERS):
-        moving &= _re_inner(xi, xi) > _REL_TOL**2 * np.maximum(1.0, np.abs(f))
-        if not moving.any():
+        norm2 = _re_inner(xi[live], xi[live])
+        live = live[norm2 > _REL_TOL**2 * np.maximum(1.0, np.abs(f[live]))]
+        if not live.size:
             break
-        trial = _polar_unitary(u + step[:, None, None] * xi)
+        u_l, f_l, x_l = u[live], f[live], xi[live]
+        trial = _polar_unitary(u_l + step[live, None, None] * x_l)
         f_new, g_new = _overlap(q, vmat, trial)
-        flat = moving & (f_new <= f)
+        flat = f_new <= f_l
         if flat.any():
-            trial[flat] = _polar_unitary(grad[flat])
+            trial[flat] = _polar_unitary(grad[live[flat]])
             f_new[flat], g_new[flat] = _overlap(q, vmat, trial[flat])
-            moving &= f_new > f
         xi_new = _tangent_project(trial, g_new)
-        y_vec = xi_new - xi
-        sy, yy = np.abs(_re_inner(trial - u, y_vec)), _re_inner(y_vec, y_vec)
+        y_vec = xi_new - x_l
+        sy, yy = np.abs(_re_inner(trial - u_l, y_vec)), _re_inner(y_vec, y_vec)
         bb = (sy > 1e-300) & (yy > 1e-300)
-        bb_step = np.where(bb, sy / np.where(bb, yy, 1.0), 2.0 * step)
-        u[moving], f[moving] = trial[moving], f_new[moving]
-        grad[moving], xi[moving] = g_new[moving], xi_new[moving]
-        step[moving] = np.clip(bb_step[moving], 1e-8, 1e8)
-    return f, u, ~moving
+        bb_step = np.where(bb, sy / np.where(bb, yy, 1.0), 2.0 * step[live])
+        up = f_new > f_l
+        live = live[up]
+        u[live], f[live] = trial[up], f_new[up]
+        grad[live], xi[live] = g_new[up], xi_new[up]
+        step[live] = np.clip(bb_step[up], 1e-8, 1e8)
+    converged = np.ones(len(u), dtype=bool)
+    converged[live] = False
+    return f, u, converged
 
 
 def error_orbit_numeric(

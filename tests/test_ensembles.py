@@ -55,6 +55,27 @@ class TestSpecAndStream:
         s1 = spec.stream(0, ensembles.PURPOSE_WEIGHTS)
         assert s0.index != s1.index
 
+    def test_stream_index_range(self):
+        # (purpose << 48) + index: an index past 2^48 or below 0 would land
+        # in the neighbouring purpose's streams, and sample_choi would hand
+        # back that purpose's channel
+        spec = EnsembleSpec(2, 2, 2, seed=99)
+        weights = spec.stream(0, ensembles.PURPOSE_WEIGHTS)
+        assert RandomStream(99, 1 << 48) == weights
+        assert RandomStream(99, (ensembles.PURPOSE_WEIGHTS << 48) - 1) == spec.stream(
+            (1 << 48) - 1
+        )
+        for index, purpose in [
+            (1 << 48, ensembles.PURPOSE_SAMPLE),
+            (-1, ensembles.PURPOSE_WEIGHTS),
+            (0, 1 << 16),
+            (0, -1),
+        ]:
+            with pytest.raises(InvalidDims):
+                spec.stream(index, purpose)
+        top = spec.stream((1 << 48) - 1, (1 << 16) - 1)
+        assert top.index == M64
+
 
 def philox_reference(seed, index):
     """The documented stream: Philox keyed [seed mod 2^64, index mod 2^64].
@@ -67,9 +88,9 @@ def philox_reference(seed, index):
 
 
 class TestStreamContract:
-    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 5, 20245])
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 5, 20245, 2**63, M64])
     @pytest.mark.parametrize(
-        "index", [0, 123, (1 << 48) + 7, ensembles.PURPOSE_FIXED << 48]
+        "index", [0, 123, (1 << 48) + 7, ensembles.PURPOSE_FIXED << 48, 2**63, M64]
     )
     def test_matches_keyed_philox(self, seed, index):
         got = RandomStream(seed, index).generator()
@@ -77,6 +98,14 @@ class TestStreamContract:
         for size in (1, 7, (4, 2, 2), 33):
             assert np.array_equal(got.standard_normal(size), ref.standard_normal(size))
             assert np.array_equal(got.random(size), ref.random(size))
+
+    def test_zero_counter_stays_zero(self):
+        gen = RandomStream(20245, 14).generator()
+        gen.standard_normal(1000)
+        assert gen.bit_generator.state["state"]["counter"].any()
+        ensembles._vmat_bank(EnsembleSpec(2, 2, 2, seed=5), 0, 8, ensembles.PURPOSE_SAMPLE)
+        assert ensembles._ZERO_COUNTER.dtype == np.uint64
+        assert np.array_equal(ensembles._ZERO_COUNTER, np.zeros(4))
 
     def test_value_type_replay_interleaved(self):
         stream = RandomStream(20245, (1 << 48) + 3)
@@ -109,7 +138,24 @@ class TestStreamContract:
         stream = RandomStream(20245, 11)
         z = stream.generator().standard_normal((*shape, 2))
         want = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-        assert np.array_equal(ensembles.sample_ginibre(*shape, stream), want)
+        got = ensembles.sample_ginibre(*shape, stream)
+        assert np.array_equal(got, want)
+        buf = np.full(shape, np.nan, dtype=complex)
+        assert ensembles.sample_ginibre(*shape, stream, out=buf) is buf
+        assert buf.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize(
+        "buf",
+        [
+            np.empty((2, 4), dtype=complex),  # wrong shape
+            np.empty((4, 2), dtype=np.complex64),  # would take float32 normals
+            np.empty((4, 4), dtype=complex)[:, ::2],  # not contiguous
+            np.empty((4, 2, 2)),  # the float pairs, not their complex view
+        ],
+    )
+    def test_ginibre_out_rejects_bad_buffer(self, buf):
+        with pytest.raises(InvalidDims):
+            ensembles.sample_ginibre(4, 2, RandomStream(20245, 11), out=buf)
 
     @pytest.mark.parametrize("d, count", [(1, 1), (2, 4), (4, 64)])
     def test_haar_batch_matches_split_formula(self, d, count):

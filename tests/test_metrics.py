@@ -217,6 +217,24 @@ class TestOrbitNumeric:
             assert abs(res.error - error_append(c, rho)) <= 1e-9
             assert res.converged
 
+    def test_stopped_start_leaves_the_stack(self, monkeypatch):
+        # For Q = |V><V| the identity start is already the maximum, so it
+        # stops at the stationarity rule and only the 19 Haar starts climb.
+        spec = EnsembleSpec(2, 2, 2, seed=84)
+        _, v = sampled(spec)
+        sizes = []
+        overlap = metrics_module._overlap
+
+        def counted(q, vmat, u):
+            sizes.append(len(u))
+            return overlap(q, vmat, u)
+
+        monkeypatch.setattr(metrics_module, "_overlap", counted)
+        res = error_orbit_numeric(v.projector(), v, rs=RandomStream(84, 0))
+        assert sizes[0] == 20 and max(sizes[1:]) <= 19
+        assert res.error == pytest.approx(0.0, abs=1e-12)
+        assert res.converged
+
     def test_never_worse_than_identity_start(self):
         spec = EnsembleSpec(2, 2, 3, seed=74)
         rng = np.random.default_rng(74)
