@@ -11,6 +11,11 @@ Subcommands:
 Outputs are CSV (canonical, 12 significant digits, config echoed in header
 comments) or JSON; ``--plot`` adds an SVG chart next to the output file.
 Exit codes: 0 success, 1 failed check, 2 usage or config error.
+
+Each flag declares its setting's default, type and check once.  A config
+key is any flag of the subcommand that takes a value, named exactly; the
+flag parses its config line and ``PURIFYLAB_SEED`` alike.  Precedence: flag,
+config line, ``PURIFYLAB_SEED``, the flag's default.
 """
 
 from __future__ import annotations
@@ -48,10 +53,7 @@ def _fmt(x) -> str:
 def _write_table(out, comments: dict, header: list[str], rows: list[list], fmt: str):
     """Emit a report as CSV (with # comment prologue) or JSON."""
     if fmt == "json":
-        payload = {
-            "config": {k: v for k, v in comments.items()},
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
+        payload = {"config": comments, "rows": [dict(zip(header, row)) for row in rows]}
         text = json.dumps(payload, indent=2, default=str) + "\n"
     else:
         lines = [f"# {k}={v}" for k, v in comments.items()]
@@ -65,139 +67,156 @@ def _write_table(out, comments: dict, header: list[str], rows: list[list], fmt: 
         sys.stdout.write(text)
 
 
-def _load_config_file(path: str) -> dict:
-    cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise PurifyLabError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
-    return cfg
-
-
 def positive_int(text) -> int:
-    """An integer >= 1 (``ValueError`` otherwise), the type of ``--workers``."""
+    """An integer >= 1 (``ValueError`` otherwise): ``--workers``, ``--draws``."""
     val = int(text)
     if val < 1:
         raise ValueError(f"{val} is below 1")
     return val
 
 
-def _checked(name, text, key, cast):
-    """``text`` from config or environment ``name``, checked like --key."""
-    try:  # the check the flag's type or choices make
-        val = cast(text)
+class EnvDims(str):
+    """The ``--de`` text as given, for the header; ``dims`` lists the
+    environment dimensions it names."""
+
+    dims: list[int]
+
+
+def env_range(text) -> EnvDims:
+    """One environment dimension >= 1, or a range ``a..b``: sweep's ``--de``."""
+    try:
+        lo, hi = map(int, text.split("..")) if ".." in text else (int(text),) * 2
     except ValueError:
-        val = None
-    if val is None or (key == "format" and val not in FORMATS):
-        raise PurifyLabError(f"bad {name}={text!r} for --{key}")
+        lo = hi = 0
+    if lo < 1 or hi < lo:
+        raise argparse.ArgumentTypeError(f"bad environment dimension or range {text!r}")
+    out = EnvDims(text)
+    out.dims = list(range(lo, hi + 1))
+    return out
+
+
+def env_dim(text) -> EnvDims:
+    """One environment dimension >= 1: ``--de`` of every command but sweep."""
+    if ".." in text:
+        raise argparse.ArgumentTypeError(
+            f"one environment dimension, not the range {text!r}; use sweep for a range"
+        )
+    return env_range(text)
+
+
+def copy_budgets(text) -> list[int]:
+    """``--k``: a comma list of at least three copy budgets spanning 16x."""
+    try:
+        ks = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        ks = []
+    if len(ks) < 3 or max(ks) < 16 * min(ks):
+        raise argparse.ArgumentTypeError(f"need >= 3 copy budgets spanning 16x, not {text!r}")
+    return ks
+
+
+def bin_count(text) -> int:
+    """``--bins``: an integer >= 10."""
+    val = int(text)
+    if val < 10:
+        raise argparse.ArgumentTypeError(f"at least 10 bins, got {val}")
     return val
 
 
-def _resolve(args, key, cfg, cast, default):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key not in cfg:
-        return default
-    return _checked(f"config value {key}", cfg[key], key, cast)
+def strategy_list(text) -> list[str]:
+    """``--strategies``: a non-empty comma list of strategy strings."""
+    names = [s for s in text.split(",") if s]
+    if not names:
+        raise argparse.ArgumentTypeError("needs a non-empty strategy list")
+    return names
 
 
-def _resolve_seed(args, cfg) -> int:
-    seed = _resolve(args, "seed", cfg, int, None)
-    if seed is not None:
-        return seed
-    env = os.environ.get("PURIFYLAB_SEED")
-    if env is not None:
-        return _checked("environment value PURIFYLAB_SEED", env, "seed", int)
-    return 0
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, the one owner of its settings.
+
+    ``keys`` maps each flag that takes a value to its attribute: the keys a
+    ``--config`` line may set.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.keys: dict[str, str] = {}
+        super().__init__(*args, **kwargs)
+        self.set_defaults(parser=self)  # so main finds it from the parsed args
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs != 0 and action.dest != "config":
+            self.keys[action.option_strings[0].lstrip("-")] = action.dest
+        return action
+
+    def value(self, key: str, text: str):
+        """``text`` as ``--key`` parses it, or ``argparse.ArgumentError``."""
+        self.exit_on_error = False
+        try:
+            return getattr(self.parse_args([f"--{key}={text}"]), self.keys[key])
+        finally:
+            self.exit_on_error = True
 
 
-def _parse_de_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if lo < 1 or hi < lo:
-            raise PurifyLabError(f"bad environment range {text!r}")
-        return list(range(lo, hi + 1))
-    val = int(text)
-    if val < 1:
-        raise PurifyLabError("environment dimension must be >= 1")
-    return [val]
-
-
-def _single_de(cmd: str, text: str) -> int:
-    """The one environment dimension of a command that takes no range."""
-    if ".." in text:
-        raise PurifyLabError(
-            f"{cmd} takes one environment dimension, not the range {text!r}; "
-            "use sweep for a range"
-        )
-    return _parse_de_range(text)[0]
-
-
-def _add_common(p: argparse.ArgumentParser, *, de_help="environment dimension"):
-    p.add_argument("--di", type=int, default=None, help="input dimension")
-    p.add_argument("--do", type=int, default=None, help="output dimension")
-    p.add_argument("--de", type=str, default=None, help=de_help)
-    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-    p.add_argument("--workers", type=positive_int, default=None, help="parallel workers")
+def _add_common(p: _Subcommand, *, n=None, plot=True, de_type=env_dim,
+                de_help="environment dimension"):
+    p.add_argument("--di", type=int, default=2, help="input dimension")
+    p.add_argument("--do", type=int, default=2, help="output dimension")
+    p.add_argument("--de", type=de_type, default="1", help=de_help)
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    p.add_argument("--workers", type=positive_int, default=1, help="parallel workers")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=FORMATS, default=None)
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--config", type=str, default=None, help="key=value defaults file")
+    # only where the command reads them, so the others reject them
+    if n is not None:
+        p.add_argument("--n", type=int, default=n,
+                       help="Monte Carlo samples (default %(default)s)")
+    if plot:
+        p.add_argument("--plot", action="store_true", help="also write an SVG chart")
 
 
-# Registered only on the subcommands that read them, so the others reject them.
-def _add_n(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=None, help="Monte Carlo samples")
-
-
-def _add_plot(p: argparse.ArgumentParser):
-    p.add_argument("--plot", action="store_true", help="also write an SVG chart")
-
-
-# Keys a --config file may set; each is read only by the subcommands that
-# register its flag, and any other key is rejected.
-_CONFIG_KEYS = ("di", "do", "de", "n", "seed", "workers", "out", "format", "strategies")
-
-
-def _common_values(args, *, n_default: int = 2000):
-    cfg = _load_config_file(args.config) if args.config else {}
-    unread = [k for k in cfg if k not in _CONFIG_KEYS or not hasattr(args, k)]
+def _with_defaults(parser: argparse.ArgumentParser, args, argv):
+    """``args`` again, once PURIFYLAB_SEED and then each ``--config`` line,
+    checked by the flag it sets, are defaults of the subcommand's parser."""
+    p = args.parser
+    given = []  # (source, key, text), lowest precedence first
+    env = os.environ.get("PURIFYLAB_SEED")
+    if env is not None and "seed" in p.keys:
+        given.append(("environment value PURIFYLAB_SEED", "seed", env))
+    if getattr(args, "config", None):
+        with open(args.config, encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise PurifyLabError(f"bad config line: {line!r}")
+                key, text = (s.strip() for s in line.split("=", 1))
+                given.append((f"config value {key}", key, text))
+    if not given:
+        return args
+    unread = [key for _, key, _ in given if key not in p.keys]
     if unread:
         raise PurifyLabError(
             f"{args.command} does not read config key(s) {', '.join(unread)}; "
-            f"it reads {', '.join(k for k in _CONFIG_KEYS if hasattr(args, k))}"
+            f"it reads {', '.join(p.keys)}"
         )
-    vals = {
-        "di": _resolve(args, "di", cfg, int, 2),
-        "do": _resolve(args, "do", cfg, int, 2),
-        "de": _resolve(args, "de", cfg, str, "1"),
-        "n": _resolve(args, "n", cfg, int, n_default),
-        "workers": _resolve(args, "workers", cfg, positive_int, 1),
-        "format": _resolve(args, "format", cfg, str, "csv"),
-        "seed": _resolve_seed(args, cfg),
-        "out": args.out or cfg.get("out"),
-        "strategies": getattr(args, "strategies", None) or cfg.get("strategies"),
-    }
-    return vals
+    defaults = {}
+    for source, key, text in given:
+        try:
+            defaults[p.keys[key]] = p.value(key, text)
+        except argparse.ArgumentError as exc:
+            raise PurifyLabError(f"bad {source}={text!r}: {exc}") from None
+    p.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
-def _comments(cmd: str, vals: dict, extra: dict | None = None) -> dict:
-    base = {
-        "command": cmd,
-        "version": __version__,
-        "di": vals["di"],
-        "do": vals["do"],
-        "de": vals["de"],
-        "n": vals["n"],
-        "seed": vals["seed"],
-        "workers": vals["workers"],
-    }
+def _comments(args, extra: dict | None = None) -> dict:
+    base = {"command": args.command, "version": __version__}
+    for key in ("di", "do", "de", "n", "seed", "workers"):
+        if hasattr(args, key):
+            base[key] = getattr(args, key)
     if extra:
         base.update(extra)
     return base
@@ -218,7 +237,7 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
     if name == "purity":
         rep = estimate_moments(spec, n, "purity", workers=workers)
         expect = theory.avg_purity(*spec.dims)
-        tol = 3 * float(rep.stderr[0]) + metrics.CLOSED_FORM_SLACK
+        tol = metrics.closed_form_tolerance(rep.stderr[0])
         return expect, rep.value, tol, abs(rep.value - expect) <= tol
     if name == "dep-constant":
         rep = estimate_average_error(
@@ -231,7 +250,7 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
     if name in _CLOSED_FORM_CHECKS:
         strat = parse_strategy(_CLOSED_FORM_CHECKS[name], spec)
         rep = estimate_average_error(strat, spec, n, workers=workers)
-        tol = 3 * rep.stderr + metrics.CLOSED_FORM_SLACK
+        tol = metrics.closed_form_tolerance(rep.stderr)
         return rep.closed_form, rep.mean, tol, rep.consistent_with_closed_form()
     if name == "moment-identity":
         ordered = estimate_moments(spec, n, "ordered_eig_sq", workers=workers)
@@ -247,18 +266,16 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
 
 
 def cmd_validate(args) -> int:
-    vals = _common_values(args)
-    d_e = _single_de("validate", vals["de"])
-    spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
+    spec = EnsembleSpec(args.di, args.do, args.de.dims[0], seed=args.seed)
     names = [args.check] if args.check else list(DEFAULT_CHECKS)
     rows = []
     all_ok = True
     for name in names:
-        expect, got, tol, ok = _run_check(name, spec, vals["n"], vals["workers"])
+        expect, got, tol, ok = _run_check(name, spec, args.n, args.workers)
         all_ok &= ok
         rows.append([name, expect, got, tol, "pass" if ok else "FAIL"])
     header = ["check", "expected", "observed", "tolerance", "status"]
-    _write_table(vals["out"], _comments("validate", vals), header, rows, vals["format"])
+    _write_table(args.out, _comments(args), header, rows, args.format)
     return 0 if all_ok else 1
 
 
@@ -268,34 +285,28 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    vals = _common_values(args)
-    strategies = [s for s in (vals["strategies"] or DEFAULT_STRATEGIES).split(",") if s]
-    if not strategies:
-        raise PurifyLabError("sweep needs a non-empty strategy list")
-    de_values = _parse_de_range(vals["de"])
+    strategies = args.strategies
     rows = []
     curves: dict[str, tuple[list[float], list[float]]] = {s: ([], []) for s in strategies}
-    for d_e in de_values:
-        spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
+    for d_e in args.de.dims:
+        spec = EnsembleSpec(args.di, args.do, d_e, seed=args.seed)
         for text in strategies:
-            strat = metrics.make_strategy(
-                text, spec, n_weights=vals["n"], workers=vals["workers"]
-            )
-            rep = estimate_average_error(strat, spec, vals["n"], workers=vals["workers"])
+            strat = metrics.make_strategy(text, spec, n_weights=args.n, workers=args.workers)
+            rep = estimate_average_error(strat, spec, args.n, workers=args.workers)
             rows.append(
                 [d_e, text, rep.mean, rep.stderr, rep.closed_form, rep.n, rep.seed]
             )
             curves[text][0].append(d_e)
             curves[text][1].append(rep.mean)
     header = ["d_E", "strategy", "mean", "stderr", "closed_form", "n", "seed"]
-    _write_table(vals["out"], _comments("sweep", vals, {"strategies": ",".join(strategies)}),
-                 header, rows, vals["format"])
+    _write_table(args.out, _comments(args, {"strategies": ",".join(strategies)}),
+                 header, rows, args.format)
     if args.plot:
-        target = (vals["out"] or "sweep") + ".svg"
+        target = (args.out or "sweep") + ".svg"
         svgplot.line_chart(
             curves,
             target,
-            title=f"average purification error, d_I={vals['di']} d_O={vals['do']}",
+            title=f"average purification error, d_I={args.di} d_O={args.do}",
             xlabel="environment dimension",
             ylabel="mean squared HS distance",
         )
@@ -314,18 +325,11 @@ def _spectrum_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
 
 
 def cmd_spectrum(args) -> int:
-    vals = _common_values(args)
-    bins = args.bins if args.bins is not None else 40
-    if bins < 10:
-        raise PurifyLabError("spectrum needs at least 10 bins")
-    draws = args.draws if args.draws is not None else 200
-    if draws < 1:
-        raise PurifyLabError("spectrum needs --draws >= 1")
-    d_e = _single_de("spectrum", vals["de"])
-    spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
+    bins, draws = args.bins, args.draws
+    spec = EnsembleSpec(args.di, args.do, args.de.dims[0], seed=args.seed)
     c_ratio = spec.d_i * spec.d_o / spec.d_e
 
-    chunks = metrics._chunk_map(partial(_spectrum_chunk, spec), draws, vals["workers"])
+    chunks = metrics._chunk_map(partial(_spectrum_chunk, spec), draws, args.workers)
     eigs = np.sort(np.maximum(np.concatenate(list(chunks), axis=None), 0.0))
 
     _, hi = mp_support(c_ratio)
@@ -344,12 +348,11 @@ def cmd_spectrum(args) -> int:
         for c, k, e, o in zip(centers, counts, empir, overlay)
     ]
     header = ["bin_center", "count", "empirical_density", "mp_density", "atom_weight"]
-    comments = _comments("spectrum", vals, {"draws": draws, "bins": bins,
-                                            "c": f"{c_ratio:.12g}", "ks": f"{ks:.6g}"})
-    del comments["n"]  # the histogram pools --draws channels, not n samples
-    _write_table(vals["out"], comments, header, rows, vals["format"])
+    comments = _comments(args, {"draws": draws, "bins": bins,
+                                "c": f"{c_ratio:.12g}", "ks": f"{ks:.6g}"})
+    _write_table(args.out, comments, header, rows, args.format)
     if args.plot:
-        target = (vals["out"] or "spectrum") + ".svg"
+        target = (args.out or "spectrum") + ".svg"
         svgplot.line_chart(
             {"empirical": (centers.tolist(), empir.tolist()),
              "reference": (centers.tolist(), np.asarray(overlay).tolist())},
@@ -367,29 +370,24 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_tomo_scaling(args) -> int:
-    vals = _common_values(args, n_default=200)
-    if not args.k:
+    ks = args.k
+    if ks is None:
         raise PurifyLabError("tomo-scaling needs --k k1,k2,...")
-    ks = [int(x) for x in args.k.split(",") if x]
-    if len(ks) < 3 or max(ks) < 16 * min(ks):
-        raise PurifyLabError("need >= 3 copy budgets spanning a >= 16x range")
-    d_e = _single_de("tomo-scaling", vals["de"])
-    spec = EnsembleSpec(vals["di"], vals["do"], d_e, seed=vals["seed"])
+    spec = EnsembleSpec(args.di, args.do, args.de.dims[0], seed=args.seed)
     rows = []
     means = []
     for k in ks:
         strat = parse_strategy(f"tomo:k={k}", spec)
-        rep = estimate_average_error(strat, spec, vals["n"], workers=vals["workers"])
+        rep = estimate_average_error(strat, spec, args.n, workers=args.workers)
         rows.append([k, rep.mean, rep.stderr])
         means.append(rep.mean)
     slope = float(np.polyfit(np.log(ks), np.log(means), 1)[0])
     rows.append(["slope", slope, ""])
     header = ["k", "mean", "stderr"]
-    comments = _comments("tomo-scaling", vals, {"k": ",".join(map(str, ks)),
-                                                "slope": f"{slope:.6g}"})
-    _write_table(vals["out"], comments, header, rows, vals["format"])
+    comments = _comments(args, {"k": ",".join(map(str, ks)), "slope": f"{slope:.6g}"})
+    _write_table(args.out, comments, header, rows, args.format)
     if args.plot:
-        target = (vals["out"] or "tomo") + ".svg"
+        target = (args.out or "tomo") + ".svg"
         svgplot.line_chart(
             {"estimation error": (list(map(float, ks)), means)},
             target,
@@ -424,34 +422,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo analysis of approximate channel-purification machines",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("validate", help="closed-form agreement checks")
-    _add_common(p)
-    _add_n(p)
+    _add_common(p, n=2000, plot=False)
     p.add_argument("--check", choices=CHECKS, default=None, help="run one named check")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="strategy errors over an environment range")
-    _add_common(p, de_help="environment dimension or range a..b")
-    _add_n(p)
-    _add_plot(p)
-    p.add_argument("--strategies", type=str, default=None,
-                   help=f"comma list (default {DEFAULT_STRATEGIES})")
+    _add_common(p, n=2000, de_type=env_range, de_help="environment dimension or range a..b")
+    p.add_argument("--strategies", type=strategy_list, default=DEFAULT_STRATEGIES,
+                   help="comma list (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("spectrum", help="eigenvalue histogram vs MP reference")
     _add_common(p)
-    _add_plot(p)
-    p.add_argument("--draws", type=int, default=None, help="channel draws (default 200)")
-    p.add_argument("--bins", type=int, default=None, help="histogram bins (default 40)")
+    p.add_argument("--draws", type=positive_int, default=200,
+                   help="channel draws (default %(default)s)")
+    p.add_argument("--bins", type=bin_count, default=40,
+                   help="histogram bins, at least 10 (default %(default)s)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("tomo-scaling", help="estimation error vs copy budget")
-    _add_common(p)
-    _add_n(p)
-    _add_plot(p)
-    p.add_argument("--k", type=str, default=None, help="comma list of copy budgets")
+    _add_common(p, n=200)
+    p.add_argument("--k", type=copy_budgets, default=None,
+                   help="comma list of copy budgets, >= 3 spanning 16x")
     p.set_defaults(func=cmd_tomo_scaling)
 
     p = sub.add_parser("fixtures", help="golden fixture regression run")
@@ -468,7 +463,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(_with_defaults(parser, args, argv))
     except (PurifyLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .ensembles import (
     sample_ginibre,  # noqa: F401  perfbench/tests/check_tracer.py wraps this binding
 )
 from .errors import EnvironmentTooSmall, InvalidDims, TooLarge
-from .linalg import _psd_eigvalsh, _purities, _require_hermitian
+from .linalg import _psd_eigvalsh, _purities, _require_hermitian, _require_norm
 from .linalg import (
     dagger,
     flip_operator,
@@ -83,6 +83,12 @@ _REL_TOL = 1e-9
 _INITIAL_STEP = 1.0
 
 
+def closed_form_tolerance(stderr, n_sigma: float = 3.0) -> float:
+    """How far a Monte Carlo mean may sit from its closed form: ``n_sigma``
+    standard errors plus ``CLOSED_FORM_SLACK``."""
+    return n_sigma * float(stderr) + CLOSED_FORM_SLACK
+
+
 # ---------------------------------------------------------------------------
 # Report types
 # ---------------------------------------------------------------------------
@@ -107,8 +113,7 @@ class ErrorReport:
         """None when no closed form is attached; otherwise the n-sigma check."""
         if self.closed_form is None:
             return None
-        slack = n_sigma * self.stderr + CLOSED_FORM_SLACK
-        return abs(self.mean - self.closed_form) <= slack
+        return abs(self.mean - self.closed_form) <= closed_form_tolerance(self.stderr, n_sigma)
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,6 +266,8 @@ def error_orbit_numeric(
     ``_ascend``).  The returned error tr(Q^2) + d_i^2 - 2 * best is an upper
     bound on the true orbit minimum that matches the exact routes on the
     append and pure-output families; ``converged`` is the best start's.
+    Q must be PSD with trace d_i and v a valid purification, so the error
+    lies in [0, 2 d_i^2] before its clip.
     """
     rng = _as_generator(rs if rs is not None else RandomStream(0, 0))
     q = np.asarray(q_out, dtype=complex)
@@ -268,6 +275,8 @@ def error_orbit_numeric(
     if q.shape != (side, side):
         raise InvalidDims(f"machine output shape {q.shape}, expected {(side, side)}")
     _psd_eigvalsh(q)
+    v.validate()
+    _require_norm(np.trace(q).real, v.d_i, "trace of Q")
 
     eye = np.eye(v.d_e, dtype=complex)[None]
     starts = np.concatenate([eye, haar_unitaries_batch(v.d_e, _RESTARTS - 1, rng)])
@@ -288,6 +297,8 @@ def orbit_bruteforce(
     """
     if v.d_e > 2:
         raise TooLarge("brute-force grid supports d_e <= 2 only")
+    if resolution < 1:
+        raise InvalidDims(f"grid resolution {resolution} is below 1")
     q = np.asarray(q_out, dtype=complex)
     q_purity = float(np.vdot(q, q).real)
     vmat = v.as_matrix()

@@ -19,13 +19,19 @@ from purifylab.cli import main
 from purifylab.ensembles import EnsembleSpec, sample_choi
 from purifylab.errors import (
     EnvironmentTooSmall,
+    InvalidDims,
     NotHermitian,
     NotNormalized,
     NotPSD,
     NotTracePreserving,
     NotUnitary,
 )
-from purifylab.metrics import ErrorReport, error_append, error_orbit_numeric
+from purifylab.metrics import (
+    ErrorReport,
+    error_append,
+    error_orbit_numeric,
+    orbit_bruteforce,
+)
 from purifylab.strategies import Append, error_pure_output
 
 # multiples of a rule's tolerance: just inside, just outside
@@ -92,9 +98,33 @@ class TestOrbitInput:
 
     @SIDES
     def test_negativity(self, f):
-        q = np.diag([1.0, -f * linalg.PSD_TOL])
+        # trace 1 = d_i, so only the negativity rule is at its boundary
+        delta = f * linalg.PSD_TOL
+        q = np.diag([1.0 + delta, -delta])
         v = identity_isometry_purification(1, 2)
         check(f, NotPSD, lambda: error_orbit_numeric(q, v))
+
+    @SIDES
+    def test_trace(self, f):
+        # Q = 5 |v><v| used to score the 2 d_i^2 clip
+        v = identity_isometry_purification(1, 2)
+        q = (1.0 + f * linalg.NORM_TOL) * v.projector()
+        check(f, NotNormalized, lambda: error_orbit_numeric(q, v))
+
+    @SIDES
+    def test_purification_norm(self, f):
+        # a purification scaled by 2 used to score a clipped 0.0
+        v = identity_isometry_purification(1, 2)
+        scaled = channels.PurificationVector(
+            1, 2, 1, np.sqrt(1.0 + f * linalg.NORM_TOL) * v.vector
+        )
+        check(f, NotNormalized, lambda: error_orbit_numeric(v.projector(), scaled))
+
+    def test_bruteforce_resolution(self):
+        # used to stop in numpy's reshape of an empty grid
+        v = max_entangled_purification(1, 2)
+        with pytest.raises(InvalidDims):
+            orbit_bruteforce(v.projector(), v, resolution=0)
 
 
 class TestNormalisation:

@@ -338,6 +338,99 @@ class TestConfigAndEnv:
         assert not out.exists()
 
 
+class TestOneParser:
+    """Flags, --config lines and PURIFYLAB_SEED are parsed by one parser: a
+    config key is any valued flag of the subcommand, its value is checked by
+    that flag's type, and a flag beats a config line beats the variable beats
+    the flag's default."""
+
+    SWEEP = ["sweep", "--di", "2", "--do", "2", "--de", "1", "--n", "20",
+             "--strategies", "dep"]
+
+    def seed_column(self, tmp_path, argv):
+        out = tmp_path / "seed.csv"
+        assert run_cli(self.SWEEP + argv + ["--out", str(out)]) == 0
+        return body_lines(out)[1].split(",")[6]
+
+    def test_seed_precedence(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=22\n")
+        monkeypatch.delenv("PURIFYLAB_SEED", raising=False)
+        assert self.seed_column(tmp_path, []) == "0"
+        monkeypatch.setenv("PURIFYLAB_SEED", "33")
+        assert self.seed_column(tmp_path, []) == "33"
+        assert self.seed_column(tmp_path, ["--config", str(cfg)]) == "22"
+        assert self.seed_column(tmp_path, ["--config", str(cfg), "--seed", "44"]) == "44"
+        assert self.seed_column(tmp_path, ["--seed", "44", "--config", str(cfg)]) == "44"
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["tomo-scaling", "--di", "1", "--de", "2", "--n", "3", "--seed", "6"],
+         "k", "8,32,128"),
+        (["validate", "--n", "50"], "check", "purity"),
+        (["spectrum", "--de", "2", "--bins", "10"], "draws", "20"),
+        (["spectrum", "--de", "2", "--draws", "20"], "bins", "12"),
+    ], ids=["k", "check", "draws", "bins"])
+    def test_new_key_used_like_its_flag(self, tmp_path, argv, flag, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        from_cfg, from_flag = tmp_path / "cfg.csv", tmp_path / "flag.csv"
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(from_cfg)]) == 0
+        assert run_cli(argv + [f"--{flag}", value, "--out", str(from_flag)]) == 0
+        assert from_cfg.read_text() == from_flag.read_text()
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["spectrum", "--de", "2", "--draws", "20"], "bins", "5"),
+        (["spectrum", "--de", "2", "--bins", "10"], "draws", "0"),
+        (["tomo-scaling", "--n", "3"], "k", "8,x,128"),
+        (["tomo-scaling", "--n", "3"], "k", "8,32"),
+        (["tomo-scaling", "--n", "3", "--k", "8,32,128"], "de", "2..x"),
+        (["sweep", "--n", "3", "--strategies", "dep"], "de", "1..x"),
+        (["sweep", "--n", "3", "--strategies", "dep"], "de", "0"),
+        (["sweep", "--n", "3", "--de", "1"], "strategies", ","),
+        (["validate", "--n", "3"], "check", "purty"),
+    ], ids=["bins-below-10", "draws-0", "k-letter", "k-span", "de-range-off-sweep",
+            "de-letter", "de-0", "strategies-empty", "check-choice"])
+    def test_bad_value_names_its_flag(self, tmp_path, capsys, argv, flag, value):
+        # the same value exits 2 from the flag and from a config line, and the
+        # message names the flag; neither run writes its output file
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + [f"--{flag}", value, "--out", str(out)]) == 2
+        assert f"argument --{flag}:" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}={value!r}" in err and f"argument --{flag}:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["wor=2", "work=2", "config=other.cfg", "plot=1",
+                                      "--seed=2", "func=x"])
+    def test_key_must_name_a_valued_flag(self, tmp_path, capsys, line):
+        # argparse's prefix matching does not reach config keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(self.SWEEP + ["--config", str(cfg), "--out", str(out)]) == 2
+        key = line.split("=")[0]
+        assert f"config key(s) {key};" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["no equals sign", ""])
+    def test_bad_line_or_missing_file_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        if text:
+            cfg.write_text(text + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(self.SWEEP + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_fixtures_ignores_the_seed_variable(self, monkeypatch):
+        # fixtures has no --seed, so it neither reads nor checks the variable
+        monkeypatch.setenv("PURIFYLAB_SEED", "x")
+        assert run_cli(["fixtures"]) == 0
+
+
 class TestFixturesCommand:
     def test_bundled_fixtures_pass(self, capsys):
         assert run_cli(["fixtures"]) == 0

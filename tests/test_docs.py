@@ -1,6 +1,7 @@
 """The names the docs cite exist: every backticked `module.name` in README.md
-and docs/formulas.md is an attribute of the package, and every
-`test_x.py::Name` reference names a test in tests/."""
+and docs/formulas.md is an attribute of the package, every
+`test_x.py::Name` reference names a test in tests/, and every `--flag` in
+README.md is registered by `cli.build_parser()`."""
 
 import ast
 import importlib
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from purifylab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "docs" / "formulas.md"]
+FLAG = r"(?<![\w-])--[a-z][\w-]*"
 MODULES = {p.stem for p in (ROOT / "src" / "purifylab").glob("*.py")} - {"__init__"}
 
 
@@ -71,3 +75,29 @@ def test_module_reference_resolves(ref):
 def test_test_reference_exists(path, name):
     assert (ROOT / "tests" / path).is_file(), path
     assert name in _defined_tests(ROOT / "tests" / path), f"{path}::{name}"
+
+
+def readme_flags():
+    """Every `--flag` README.md cites, code blocks included."""
+    return sorted(set(re.findall(FLAG, (ROOT / "README.md").read_text())))
+
+
+def registered_flags():
+    """Every option string of the parser and of each subcommand, read from
+    their help."""
+    parser = cli.build_parser()
+    commands = re.search(r"\{([\w,-]+)\}", parser.format_usage()).group(1).split(",")
+    helps = [parser.format_help()]
+    helps += [parser.parse_args([c]).parser.format_help() for c in commands]
+    return set(re.findall(FLAG, "\n".join(helps)))
+
+
+def test_readme_flags_seen():
+    # the scans must see what the check below compares
+    assert {"--config", "--k", "--bins"} <= set(readme_flags())
+    assert {"--version", "--check", "--strategies"} <= registered_flags()
+
+
+@pytest.mark.parametrize("flag", readme_flags())
+def test_readme_flag_registered(flag):
+    assert flag in registered_flags(), f"README.md cites {flag}, which no parser registers"
