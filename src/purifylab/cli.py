@@ -16,6 +16,11 @@ Each flag declares its setting's default, type and check once.  A config
 key is any flag of the subcommand that takes a value, named exactly; the
 flag parses its config line and ``PURIFYLAB_SEED`` alike.  Precedence: flag,
 config line, ``PURIFYLAB_SEED``, the flag's default.
+
+``main`` first holds the process heap (``metrics._hold_heap``): on glibc
+the arrays each 512-sample chunk frees stay mapped for the next chunk
+instead of going back to the OS and faulting in again.  Pool workers do the
+same; a library caller's allocator is left alone.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from . import __version__, ensembles, metrics, theory
 from .ensembles import EnsembleSpec, mp_atom, mp_cdf, mp_density, mp_support
 from .errors import PurifyLabError
 from .fixtures import run_fixtures
+from .linalg import floor_eigenvalues
 from .metrics import estimate_average_error, estimate_moments, second_moment_closed_form
 from .strategies import parse_strategy
 from . import svgplot
@@ -324,13 +330,30 @@ def _spectrum_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     return np.linalg.eigvalsh(chois) * spec.d_o
 
 
+def _mp_ks_distance(c: float, eigs: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of sorted samples from the MP law.
+
+    Between sample points the empirical cdf F_n is flat and the MP cdf F
+    rises, so the supremum is met at a sample point x, either as
+    |F_n(x) - F(x)| or as |F_n(x-) - F(x-)|.  Ties count once per point, and
+    F is continuous except for its atom at zero, where F(0-) = 0.
+    """
+    x = np.unique(eigs)
+    cdf = mp_cdf(c, x)
+    at = np.searchsorted(eigs, x, side="right") / eigs.size
+    below = np.searchsorted(eigs, x, side="left") / eigs.size
+    return float(max(np.max(np.abs(at - cdf)),
+                     np.max(np.abs(below - np.where(x > 0.0, cdf, 0.0)))))
+
+
 def cmd_spectrum(args) -> int:
     bins, draws = args.bins, args.draws
     spec = EnsembleSpec(args.di, args.do, args.de.dims[0], seed=args.seed)
     c_ratio = spec.d_i * spec.d_o / spec.d_e
 
     chunks = metrics._chunk_map(partial(_spectrum_chunk, spec), draws, args.workers)
-    eigs = np.sort(np.maximum(np.concatenate(list(chunks), axis=None), 0.0))
+    # floored per draw, so the zero eigenvalues of d_E < d_I d_O sit on the atom
+    eigs = np.sort(floor_eigenvalues(np.concatenate(list(chunks))), axis=None)
 
     _, hi = mp_support(c_ratio)
     top = max(hi, float(eigs[-1])) * 1.02
@@ -342,7 +365,7 @@ def cmd_spectrum(args) -> int:
     overlay = mp_density(c_ratio, centers)
     atom = mp_atom(c_ratio)
 
-    ks = float(np.max(np.abs(np.arange(1, eigs.size + 1) / eigs.size - mp_cdf(c_ratio, eigs))))
+    ks = _mp_ks_distance(c_ratio, eigs)
     rows = [
         [f"{c:.12g}", int(k), e, o, atom]
         for c, k, e, o in zip(centers, counts, empir, overlay)
@@ -457,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    metrics._hold_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from purifylab.cli import main
+from purifylab.cli import _mp_ks_distance, main
+from purifylab.ensembles import mp_cdf, mp_support
 
 
 def run_cli(args):
@@ -230,6 +231,35 @@ class TestSpectrum:
             header = [ln for ln in fh.read().splitlines() if ln.startswith("# ks=")]
         ks = float(header[0].split("=")[1])
         assert ks < 0.08
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0])
+    def test_ks_is_the_sup_over_both_sides_of_each_point(self, c):
+        rng = np.random.default_rng(12)
+        bulk = rng.uniform(0.0, mp_support(c)[1], 100)
+        zeros = np.zeros(int(100 * max(0.0, 1.0 - 1.0 / c)))
+        eigs = np.sort(np.concatenate([zeros, bulk, bulk[:20]]))  # ties included
+
+        def side_gaps(x):
+            f = mp_cdf(c, x)
+            f_below = mp_cdf(c, np.nextafter(x, -np.inf))
+            return (abs(np.sum(eigs <= x) / eigs.size - f),
+                    abs(np.sum(eigs < x) / eigs.size - f_below))
+
+        brute = max(max(side_gaps(x)) for x in eigs)
+        assert _mp_ks_distance(c, eigs) == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("de, atom", [(2, 0.5), (1, 0.75)])
+    def test_rank_deficient_ks_is_not_the_atom(self, tmp_path, de, atom):
+        # c = 2 and c = 4: the zero eigenvalues are the atom, not a misfit
+        out = tmp_path / "spec.csv"
+        assert run_cli([
+            "spectrum", "--di", "2", "--do", "2", "--de", str(de), "--seed", "0",
+            "--draws", "400", "--out", str(out),
+        ]) == 0
+        header = dict(ln[2:].split("=", 1) for ln in out.read_text().splitlines()
+                      if ln.startswith("# "))
+        assert float(header["ks"]) < 0.2 < atom
+        assert float(out.read_text().splitlines()[-1].split(",")[-1]) == atom
 
 
 class TestTomoScaling:

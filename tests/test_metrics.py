@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -517,3 +523,80 @@ class TestSecondMoment:
     def test_needs_a_sample(self):
         with pytest.raises(InvalidDims):
             second_moment_operator(EnsembleSpec(1, 2, 1, seed=109), 0)
+
+
+# Minor page faults of the second of two equal calls, in a fresh interpreter
+# that holds its heap first: the first call grows the heap, the second should
+# find every page already mapped.
+_FAULT_PROBE = """
+import resource
+from purifylab import metrics
+from purifylab.ensembles import PURPOSE_SAMPLE, EnsembleSpec
+from purifylab.strategies import Estimation
+
+def faults(call):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+held = metrics._hold_heap()
+tomo, spec = Estimation(2048), EnsembleSpec(1, 2, 2, seed=3)
+tomo_faults = [faults(lambda: tomo.chunk_errors(spec, 0, 4)) for _ in range(2)]
+wide = EnsembleSpec(4, 4, 16, seed=3)
+moment_faults = [
+    faults(lambda: metrics._moment_chunk(wide, "purity", PURPOSE_SAMPLE, lo, lo + 512))
+    for lo in (0, 512)
+]
+print(held, tomo_faults[1], moment_faults[1])
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_second_chunk_faults_no_pages_in(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        held, tomo_faults, moment_faults = proc.stdout.split()
+        assert held == "True"
+        # without the policy these took over 1 000 each
+        assert int(tomo_faults) < 100
+        assert int(moment_faults) < 100
+
+    def test_no_c_library_is_a_no_op(self, monkeypatch):
+        def refuse(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(metrics_module.ctypes, "CDLL", refuse)
+        assert metrics_module._hold_heap() is False
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(metrics_module.ctypes, "CDLL", lambda name: object())
+        assert metrics_module._hold_heap() is False
+
+    def test_pool_workers_hold_their_heap(self, monkeypatch):
+        initializers = []
+
+        class CountingPool(metrics_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initializers.append(kwargs.get("initializer"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "ProcessPoolExecutor", CountingPool)
+        spec = EnsembleSpec(2, 2, 2, seed=111)
+        fn = partial(metrics_module._moment_chunk, spec, "purity", PURPOSE_SAMPLE)
+        pooled = np.concatenate(list(metrics_module._chunk_map(fn, 1024, 2)))
+        assert initializers == [metrics_module._hold_heap]
+        assert np.array_equal(pooled, np.concatenate(list(metrics_module._chunk_map(fn, 1024, 1))))
+
+    def test_cli_main_holds_the_heap(self, monkeypatch, tmp_path):
+        from purifylab import cli
+
+        calls = []
+        monkeypatch.setattr(metrics_module, "_hold_heap", lambda: calls.append(1))
+        code = cli.main(["validate", "--di", "2", "--do", "2", "--de", "2", "--n", "10",
+                         "--check", "dep-constant", "--out", str(tmp_path / "v.csv")])
+        assert code == 0
+        assert calls == [1]
