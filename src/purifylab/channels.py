@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnvironmentTooSmall, InvalidDims, NotTracePreserving, NotUnitary
-from .linalg import _psd_eigvalsh, _require_identity, _require_norm
-from .linalg import dagger, herm_eig, partial_trace, psd_factor
+from .linalg import _psd_eigvalsh, _purities, _require_identity, _require_norm
+from .linalg import dagger, partial_trace, psd_factor
 
 __all__ = [
     "ChoiOperator",
@@ -76,17 +76,13 @@ class ChoiOperator:
         _require_identity(marg, NotTracePreserving, "tr_O C")
         return self
 
-    def eigenvalues_desc(self) -> np.ndarray:
-        vals, _ = herm_eig(self.matrix)
-        return vals
-
     def rank(self) -> int:
         """Column count of ``psd_factor(C)``: eigenvalues above the floor."""
         return psd_factor(self.matrix).shape[1]
 
     def purity(self) -> float:
         """tr(C^2)."""
-        return float(np.vdot(self.matrix, self.matrix).real)
+        return float(_purities(self.matrix[None])[0])
 
     def to_json_dict(self) -> dict:
         return {"d_i": self.d_i, "d_o": self.d_o, "re_im": _re_im(self.matrix)}
@@ -116,10 +112,9 @@ class PurificationVector:
             )
         object.__setattr__(self, "vector", v)
 
-    def validate(self, *, check_marginal: bool = True) -> "PurificationVector":
+    def validate(self) -> "PurificationVector":
         _require_norm(np.vdot(self.vector, self.vector).real, self.d_i, "squared norm")
-        if check_marginal:
-            self.marginal_choi().validate()
+        self.marginal_choi().validate()
         return self
 
     def as_matrix(self) -> np.ndarray:

@@ -111,13 +111,14 @@ def env_dim(text) -> EnvDims:
 
 
 def copy_budgets(text) -> list[int]:
-    """``--k``: a comma list of at least three copy budgets spanning 16x."""
+    """``--k``: a comma list of at least three copy budgets, each >= 1, spanning 16x."""
     try:
         ks = [int(x) for x in text.split(",") if x]
     except ValueError:
         ks = []
-    if len(ks) < 3 or max(ks) < 16 * min(ks):
-        raise argparse.ArgumentTypeError(f"need >= 3 copy budgets spanning 16x, not {text!r}")
+    if len(ks) < 3 or min(ks) < 1 or max(ks) < 16 * min(ks):
+        raise argparse.ArgumentTypeError(
+            f"need >= 3 copy budgets, each >= 1, spanning 16x, not {text!r}")
     return ks
 
 
@@ -469,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomo-scaling", help="estimation error vs copy budget")
     _add_common(p, n=200)
     p.add_argument("--k", type=copy_budgets, default=None,
-                   help="comma list of copy budgets, >= 3 spanning 16x")
+                   help="comma list of >= 3 copy budgets, each >= 1, spanning 16x")
     p.set_defaults(func=cmd_tomo_scaling)
 
     p = sub.add_parser("fixtures", help="golden fixture regression run")

@@ -72,7 +72,8 @@ __all__ = [
 ]
 
 ZERO_VARIANCE = 1e-20
-# absolute slack added to n_sigma standard errors in closed-form agreement
+# closed-form agreement: CLOSED_FORM_SIGMAS standard errors plus an absolute slack
+CLOSED_FORM_SIGMAS = 3.0
 CLOSED_FORM_SLACK = 1e-12
 _CHUNK = 512
 
@@ -99,10 +100,10 @@ _REL_TOL = 1e-9
 _INITIAL_STEP = 1.0
 
 
-def closed_form_tolerance(stderr, n_sigma: float = 3.0) -> float:
-    """How far a Monte Carlo mean may sit from its closed form: ``n_sigma``
-    standard errors plus ``CLOSED_FORM_SLACK``."""
-    return n_sigma * float(stderr) + CLOSED_FORM_SLACK
+def closed_form_tolerance(stderr) -> float:
+    """How far a Monte Carlo mean may sit from its closed form:
+    ``CLOSED_FORM_SIGMAS`` standard errors plus ``CLOSED_FORM_SLACK``."""
+    return CLOSED_FORM_SIGMAS * float(stderr) + CLOSED_FORM_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +126,11 @@ class ErrorReport:
     closed_form: Optional[float] = None
     per_sample: Optional[np.ndarray] = None
 
-    def consistent_with_closed_form(self, n_sigma: float = 3.0) -> Optional[bool]:
-        """None when no closed form is attached; otherwise the n-sigma check."""
+    def consistent_with_closed_form(self) -> Optional[bool]:
+        """None when no closed form is attached; otherwise the 3-sigma check."""
         if self.closed_form is None:
             return None
-        return abs(self.mean - self.closed_form) <= closed_form_tolerance(self.stderr, n_sigma)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "d_i": self.d_i,
-            "d_o": self.d_o,
-            "d_e": self.d_e,
-            "n": self.n,
-            "seed": self.seed,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "closed_form": self.closed_form,
-        }
+        return abs(self.mean - self.closed_form) <= closed_form_tolerance(self.stderr)
 
 
 @dataclass(frozen=True)
@@ -151,9 +139,6 @@ class OrbitResult:
     overlap: float
     converged: bool
     best_unitary: np.ndarray
-
-    def __float__(self) -> float:
-        return self.error
 
 
 @dataclass(frozen=True)
@@ -298,7 +283,7 @@ def error_orbit_numeric(
     starts = np.concatenate([eye, haar_unitaries_batch(v.d_e, _RESTARTS - 1, rng)])
     f, u, converged = _ascend(q, v.as_matrix(), starts)
     best = int(np.argmax(f))
-    err = _clip_errors(float(np.vdot(q, q).real) + v.d_i**2 - 2.0 * f[best], v.d_i)
+    err = _clip_errors(_purities(q[None])[0] + v.d_i**2 - 2.0 * f[best], v.d_i)
     return OrbitResult(float(err), float(f[best]), bool(converged[best]), u[best])
 
 
@@ -316,7 +301,7 @@ def orbit_bruteforce(
     if resolution < 1:
         raise InvalidDims(f"grid resolution {resolution} is below 1")
     q = np.asarray(q_out, dtype=complex)
-    q_purity = float(np.vdot(q, q).real)
+    q_purity = _purities(q[None])[0]
     vmat = v.as_matrix()
     if v.d_e == 1:
         f = float(np.vdot(vmat.reshape(-1), q @ vmat.reshape(-1)).real)

@@ -27,7 +27,6 @@ from . import theory
 from .channels import (
     ChoiOperator,
     PurificationVector,
-    apply_env_unitary,
     identity_isometry_purification,
     max_entangled_purification,
     separable_purification,
@@ -290,15 +289,12 @@ def tomography_estimate(
     # one factor C = S S† gives both the rank and the canonical dilation
     s = psd_factor(c.matrix)
     r = s.shape[1]
-    v0 = PurificationVector(c.d_i, c.d_o, r, s.reshape(-1))
     if k is None:
-        return v0
+        return PurificationVector(c.d_i, c.d_o, r, s.reshape(-1))
     if k < 1:
         raise InvalidDims("copy budget k must be >= 1")
 
-    u_env = sample_haar_unitary(r, rng)
-    target = apply_env_unitary(v0, u_env)
-    psi = target.vector / math.sqrt(c.d_i)
+    psi = (s @ sample_haar_unitary(r, rng).T).reshape(-1) / math.sqrt(c.d_i)
     dim = psi.size
 
     basis_sum = np.zeros((dim, dim), dtype=complex)

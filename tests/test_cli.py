@@ -91,10 +91,13 @@ class TestUnreadFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_spectrum_plot_written(self, tmp_path):
-        out = tmp_path / "spec.csv"
-        assert run_cli(["spectrum", "--de", "2", "--draws", "20", "--bins", "10",
-                        "--out", str(out), "--plot"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--de", "2", "--draws", "20", "--bins", "10"],
+        ["tomo-scaling", "--n", "3", "--k", "8,32,128"],
+    ], ids=["spectrum", "tomo-scaling"])
+    def test_plot_written(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", str(out), "--plot"]) == 0
         assert out.with_suffix(".csv.svg").read_text().startswith("<svg")
 
 
@@ -413,12 +416,13 @@ class TestOneParser:
         (["spectrum", "--de", "2", "--bins", "10"], "draws", "0"),
         (["tomo-scaling", "--n", "3"], "k", "8,x,128"),
         (["tomo-scaling", "--n", "3"], "k", "8,32"),
+        (["tomo-scaling", "--n", "3"], "k", "0,16,64"),
         (["tomo-scaling", "--n", "3", "--k", "8,32,128"], "de", "2..x"),
         (["sweep", "--n", "3", "--strategies", "dep"], "de", "1..x"),
         (["sweep", "--n", "3", "--strategies", "dep"], "de", "0"),
         (["sweep", "--n", "3", "--de", "1"], "strategies", ","),
         (["validate", "--n", "3"], "check", "purty"),
-    ], ids=["bins-below-10", "draws-0", "k-letter", "k-span", "de-range-off-sweep",
+    ], ids=["bins-below-10", "draws-0", "k-letter", "k-span", "k-below-1", "de-range-off-sweep",
             "de-letter", "de-0", "strategies-empty", "check-choice"])
     def test_bad_value_names_its_flag(self, tmp_path, capsys, argv, flag, value):
         # the same value exits 2 from the flag and from a config line, and the

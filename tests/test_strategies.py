@@ -145,7 +145,6 @@ class TestTomographyEstimate:
         spec = EnsembleSpec(2, 2, 2, seed=41)
         c, _ = sampled(spec)
         est = tomography_estimate(c, 1, RandomStream(41, 0))
-        est.validate(check_marginal=False)
         assert est.d_e == 2
         assert np.vdot(est.vector, est.vector).real == pytest.approx(2.0, abs=1e-10)
 
