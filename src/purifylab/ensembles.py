@@ -11,15 +11,20 @@ reference density that governs the spectra at large dimension.
 
 All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
-matter how samples are distributed over workers.  The sample bank builds
-one stream per sample and writes each Ginibre draw straight into its row of
-the bank (``sample_ginibre(..., out=row)``), with no temporary.
+matter how samples are distributed over workers.  The sample bank keys one
+stream per sample and writes each Ginibre draw straight into its row of
+the bank (``sample_ginibre(..., out=row)``), with no temporary.  A keyed
+Ginibre draw hands no generator back, so it re-keys its thread's scratch
+Philox to the state a new generator for that stream would have, instead of
+building one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +93,10 @@ class EnsembleSpec:
         The index is ``(purpose << 48) + index``; an index outside [0, 2^48)
         or a purpose outside [0, 2^16) would alias another purpose's streams
         (or wrap the 64-bit key word), so both raise :class:`InvalidDims`.
+        NumPy integers are taken as Python ints first, so the key arithmetic
+        cannot wrap in a fixed-width dtype.
         """
+        index, purpose = operator.index(index), operator.index(purpose)
         if not (0 <= index < 1 << 48 and 0 <= purpose < 1 << 16):
             raise InvalidDims(
                 f"stream needs 0 <= index < 2^48 and 0 <= purpose < 2^16, "
@@ -108,19 +116,39 @@ class RandomStream:
 
     The Philox key is ``[seed mod 2^64, index mod 2^64]`` and the counter
     starts at 0; :meth:`EnsembleSpec.stream` forms the index as
-    ``(purpose << 48) + sample``.  Building a generator reads no OS entropy,
-    and the zero counter goes in as a ready uint64 array (``_ZERO_COUNTER``),
-    so numpy does not convert the integer 0 word by word for every stream.
+    ``(purpose << 48) + sample``.  Seed and index may be any integers,
+    NumPy's included.  Building a generator reads no OS entropy, and the
+    zero counter goes in as a ready uint64 array (``_ZERO_COUNTER``), so
+    numpy does not convert the integer 0 word by word for every stream.
+
+    ``generator(into=g)`` re-keys the Philox generator ``g`` instead: its
+    whole state, the key, the zero counter and an empty output buffer, is
+    set to that of a new generator for this stream, whatever ``g`` drew
+    before, so the draws are the same bits (Philox is counter-based; Salmon
+    et al., SC'11).
     """
 
     seed: int
     index: int = 0
 
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=np.uint64)
-        return np.random.Generator(
-            np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER)
-        )
+    def generator(self, into: np.random.Generator | None = None) -> np.random.Generator:
+        key = (operator.index(self.seed) & _MASK64, operator.index(self.index) & _MASK64)
+        if into is None:
+            return np.random.Generator(
+                np.random.Philox(
+                    _key_seed_type()(np.array(key, dtype=np.uint64)),
+                    counter=_ZERO_COUNTER,
+                )
+            )
+        into.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return into
 
 
 @functools.cache
@@ -144,6 +172,10 @@ def _key_seed_type() -> type:
             return self.key
 
     return KeySeed
+
+
+# Per-thread Philox that keyed Ginibre draws re-key (RandomStream.generator).
+_SCRATCH = threading.local()
 
 
 def _as_generator(rs: RandomStream | np.random.Generator) -> np.random.Generator:
@@ -178,7 +210,9 @@ def sample_ginibre(
 
     With ``out`` (a C-contiguous complex128 array of shape (rows, cols)) the
     draw is written there and ``out`` is returned; the bits are those of the
-    allocating call.
+    allocating call.  A :class:`RandomStream` is drawn from by re-keying this
+    thread's scratch generator, built on the thread's first keyed draw; a
+    ``Generator`` is drawn from as it is.
     """
     if rows < 1 or cols < 1:
         raise InvalidDims("Ginibre dimensions must be >= 1")
@@ -193,7 +227,15 @@ def sample_ginibre(
             f"out must be a C-contiguous complex128 array of shape {(rows, cols)}, "
             f"got {out.dtype} {out.shape}"
         )
-    return _complex_normals(out, _as_generator(rs))
+    if isinstance(rs, RandomStream):
+        scratch = getattr(_SCRATCH, "rng", None)
+        if scratch is None:
+            rng = _SCRATCH.rng = rs.generator()
+        else:
+            rng = rs.generator(into=scratch)
+    else:
+        rng = rs
+    return _complex_normals(out, rng)
 
 
 def sample_haar_isometry(

@@ -1,7 +1,9 @@
 import math
+import operator
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -87,17 +89,132 @@ def philox_reference(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+SEEDS = [0, 1, -1, 2**64 + 5, 20245, 2**63, M64]
+INDICES = [0, 123, (1 << 48) + 7, ensembles.PURPOSE_FIXED << 48, 2**63, M64]
+
+
+def numpy_seed_forms(seeds):
+    """Each seed in every one of np.int64, np.int32 and np.uint64 that holds it."""
+    return [
+        pytest.param(t(seed), id=f"{t.__name__}({seed})")
+        for t in (np.int64, np.int32, np.uint64)
+        for seed in seeds
+        if np.iinfo(t).min <= seed <= np.iinfo(t).max
+    ]
+
+
+def assert_same_draws(got, ref):
+    for size in (1, 7, (4, 2, 2), 33):
+        assert np.array_equal(got.standard_normal(size), ref.standard_normal(size))
+        assert np.array_equal(got.random(size), ref.random(size))
+    # a 32-bit draw leaves half a word behind (has_uint32) for the next one
+    for _ in range(3):
+        assert got.integers(0, 7, dtype=np.uint32) == ref.integers(0, 7, dtype=np.uint32)
+    assert np.array_equal(got.standard_normal(9), ref.standard_normal(9))
+
+
+# what a generator has drawn before it is re-keyed: a leftover output word,
+# a leftover half word, and a ziggurat draw
+MID_BUFFER = {
+    "random": lambda g: g.random(3),
+    "uint32": lambda g: g.integers(0, 7, dtype=np.uint32),
+    "normal": lambda g: g.standard_normal(5),
+}
+
+
 class TestStreamContract:
-    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 5, 20245, 2**63, M64])
-    @pytest.mark.parametrize(
-        "index", [0, 123, (1 << 48) + 7, ensembles.PURPOSE_FIXED << 48, 2**63, M64]
-    )
+    @pytest.mark.parametrize("seed", SEEDS + numpy_seed_forms(SEEDS))
+    @pytest.mark.parametrize("index", INDICES)
     def test_matches_keyed_philox(self, seed, index):
+        # NumPy integer seeds key the stream their Python int does
         got = RandomStream(seed, index).generator()
-        ref = philox_reference(seed, index)
-        for size in (1, 7, (4, 2, 2), 33):
-            assert np.array_equal(got.standard_normal(size), ref.standard_normal(size))
-            assert np.array_equal(got.random(size), ref.random(size))
+        assert_same_draws(got, philox_reference(operator.index(seed), index))
+
+    def test_numpy_integer_stream_keys(self):
+        # (purpose << 48) + index is formed in Python ints: in int64 a purpose
+        # of 2^15 or more would wrap
+        spec = EnsembleSpec(2, 2, 2, seed=np.int64(5))
+        stream = spec.stream(np.int64(4), np.int64(1 << 15))
+        assert stream.index == (1 << 63) + 4
+        assert RandomStream(5, np.uint64(M64)).generator().random() == (
+            philox_reference(5, M64).random()
+        )
+        bank = ensembles._vmat_bank(spec, 0, 8, ensembles.PURPOSE_WEIGHTS)
+        want = ensembles._vmat_bank(EnsembleSpec(2, 2, 2, seed=5), 0, 8, 1)
+        assert np.array_equal(bank, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", INDICES)
+    def test_rekey_matches_fresh_generator(self, seed, index):
+        stream = RandomStream(seed, index)
+        for name, draw in MID_BUFFER.items():
+            g = RandomStream(99, 1).generator()
+            draw(g)
+            assert stream.generator(into=g) is g, name
+            assert_same_draws(g, stream.generator())
+
+    @pytest.mark.parametrize("name", sorted(MID_BUFFER))
+    def test_rekey_scratch_left_mid_buffer(self, name):
+        # a keyed draw re-keys this thread's scratch generator whatever it
+        # was left holding
+        stream = RandomStream(20245, 17)
+        want = ensembles.sample_ginibre(6, 3, stream)
+        MID_BUFFER[name](ensembles._SCRATCH.rng)
+        got = ensembles.sample_ginibre(6, 3, stream)
+        ref = stream.generator().standard_normal((6, 3, 2))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, (ref[..., 0] + 1j * ref[..., 1]) / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 5)])
+    def test_rekey_threaded_banks_equal_serial(self, dims):
+        # each thread re-keys its own scratch generator; a generator shared
+        # across threads would be re-keyed between another thread's key and draw
+        spec = EnsembleSpec(*dims, seed=31)
+        n_threads, rows = 8, 96
+        serial = ensembles._vmat_bank(spec, 0, n_threads * rows, ensembles.PURPOSE_SAMPLE)
+        start = threading.Barrier(n_threads, timeout=60)
+        banks = [None] * n_threads
+
+        def build(t):
+            start.wait()
+            banks[t] = np.concatenate([
+                ensembles._vmat_bank(spec, lo, lo + 16, ensembles.PURPOSE_SAMPLE)
+                for lo in range(t * rows, (t + 1) * rows, 16)
+            ])
+
+        threads = [threading.Thread(target=build, args=(t,)) for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert np.array_equal(np.concatenate(banks), serial)
+
+    def test_rekey_bank_counts_one_stream_and_draw_per_row(self, monkeypatch):
+        # the benchmark's streams and ginibre_draws counts read these calls
+        calls = {"generator": 0, "ginibre": 0}
+        generator, ginibre = RandomStream.generator, ensembles.sample_ginibre
+
+        def counted_generator(self, *args, **kwargs):
+            calls["generator"] += 1
+            return generator(self, *args, **kwargs)
+
+        def counted_ginibre(*args, **kwargs):
+            calls["ginibre"] += 1
+            return ginibre(*args, **kwargs)
+
+        spec = EnsembleSpec(2, 3, 5, seed=8)
+        want = ensembles._vmat_bank(spec, 3, 40, ensembles.PURPOSE_FIXED)
+        monkeypatch.setattr(RandomStream, "generator", counted_generator)
+        monkeypatch.setattr(ensembles, "sample_ginibre", counted_ginibre)
+        got = ensembles._vmat_bank(spec, 3, 40, ensembles.PURPOSE_FIXED)
+        assert calls == {"generator": 37, "ginibre": 37}
+        assert np.array_equal(got, want)
 
     def test_zero_counter_stays_zero(self):
         gen = RandomStream(20245, 14).generator()
