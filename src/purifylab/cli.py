@@ -418,8 +418,7 @@ def cmd_tomo_scaling(args) -> int:
             title="estimation-machine error vs copy budget",
             xlabel="copies k",
             ylabel="mean error",
-            logx=True,
-            logy=True,
+            loglog=True,
         )
     return 0
 

@@ -13,15 +13,14 @@ All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
 matter how samples are distributed over workers.  The sample bank keys one
 stream per sample and writes each Ginibre draw straight into its row of
-the bank (``sample_ginibre(..., out=row)``), with no temporary.  A keyed
-Ginibre draw hands no generator back, so it re-keys its thread's scratch
-Philox to the state a new generator for that stream would have, instead of
-building one.
+the bank (``sample_ginibre(..., out=row)``), with no temporary.  One method,
+:meth:`RandomStream.generator`, writes a stream's Philox state, into a new
+generator or into one the caller holds: a keyed Ginibre draw re-keys its
+thread's scratch generator, and a tomography chunk re-keys one of its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import threading
@@ -49,9 +48,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# The Philox counter every stream starts at; Philox copies it and never
-# writes it back.
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 # Purpose tags partitioning the substream index space, so that e.g. weight
 # estimation never consumes the streams used for error evaluation.
@@ -75,6 +71,14 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NumPy integers are kept as their Python ints; a float or a string
+        # fails here, not with a TypeError at the first draw
+        for name in ("d_i", "d_o", "d_e", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidDims(f"{name} must be an integer, got {value!r}") from None
         if self.d_i < 1 or self.d_o < 2 or self.d_e < 1:
             raise InvalidDims(
                 f"need d_i >= 1, d_o >= 2, d_e >= 1, got "
@@ -117,14 +121,13 @@ class RandomStream:
     The Philox key is ``[seed mod 2^64, index mod 2^64]`` and the counter
     starts at 0; :meth:`EnsembleSpec.stream` forms the index as
     ``(purpose << 48) + sample``.  Seed and index may be any integers,
-    NumPy's included.  Building a generator reads no OS entropy, and the
-    zero counter goes in as a ready uint64 array (``_ZERO_COUNTER``), so
-    numpy does not convert the integer 0 word by word for every stream.
+    NumPy's included.
 
-    ``generator(into=g)`` re-keys the Philox generator ``g`` instead: its
-    whole state, the key, the zero counter and an empty output buffer, is
-    set to that of a new generator for this stream, whatever ``g`` drew
-    before, so the draws are the same bits (Philox is counter-based; Salmon
+    :meth:`generator` is the one place a stream's state is written.  It sets
+    the whole Philox state, the key, the zero counter and an empty output
+    buffer, on ``into`` (whatever ``into`` drew before) or, without it, on a
+    new ``Philox(0)`` generator, whose constant seed reads no OS entropy.
+    Either way the draws are the same bits (Philox is counter-based; Salmon
     et al., SC'11).
     """
 
@@ -134,12 +137,7 @@ class RandomStream:
     def generator(self, into: np.random.Generator | None = None) -> np.random.Generator:
         key = (operator.index(self.seed) & _MASK64, operator.index(self.index) & _MASK64)
         if into is None:
-            return np.random.Generator(
-                np.random.Philox(
-                    _key_seed_type()(np.array(key, dtype=np.uint64)),
-                    counter=_ZERO_COUNTER,
-                )
-            )
+            into = np.random.Generator(np.random.Philox(0))
         into.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": (0, 0, 0, 0), "key": key},
@@ -149,29 +147,6 @@ class RandomStream:
             "uinteger": 0,
         }
         return into
-
-
-@functools.cache
-def _key_seed_type() -> type:
-    """Seed-sequence class that hands Philox a fixed 128-bit key.
-
-    Philox seeded with it starts at the same key and counter 0 as
-    ``Philox(key=key)``, without first building a ``SeedSequence`` from OS
-    entropy that the key would override.  Built on first use so that
-    importing purifylab does not import ``numpy.random``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySeed(ISeedSequence):
-        def __init__(self, key: np.ndarray) -> None:
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or dtype is not np.uint64:
-                raise ValueError("a Philox key is two 64-bit words")
-            return self.key
-
-    return KeySeed
 
 
 # Per-thread Philox that keyed Ginibre draws re-key (RandomStream.generator).
@@ -228,14 +203,8 @@ def sample_ginibre(
             f"got {out.dtype} {out.shape}"
         )
     if isinstance(rs, RandomStream):
-        scratch = getattr(_SCRATCH, "rng", None)
-        if scratch is None:
-            rng = _SCRATCH.rng = rs.generator()
-        else:
-            rng = rs.generator(into=scratch)
-    else:
-        rng = rs
-    return _complex_normals(out, rng)
+        rs = _SCRATCH.rng = rs.generator(into=getattr(_SCRATCH, "rng", None))
+    return _complex_normals(out, rs)
 
 
 def sample_haar_isometry(

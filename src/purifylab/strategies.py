@@ -233,10 +233,12 @@ class Estimation:
         return tomography_estimate(c, self.k, rs).projector()
 
     def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-        """Each sample's stream draws the channel, then feeds its shots."""
+        """Each sample's stream draws the channel, then feeds its shots;
+        one generator is re-keyed to each sample's stream in turn."""
         out = np.empty(hi - lo)
+        gen = None
         for j, i in enumerate(range(lo, hi)):
-            gen = spec.stream(i).generator()
+            gen = spec.stream(i).generator(into=gen)
             c, _ = sample_choi(spec, gen)
             est = tomography_estimate(c, self.k, gen)
             out[j] = PureOutput(est).errors(spec.d_i, c.matrix[None])[0]
@@ -364,10 +366,12 @@ def parse_strategy(
         return MapToDepolarizing(spec.d_e)
     if text.startswith("tomo:k="):
         raw = text.split("=", 1)[1]
-        if raw in ("inf", "none"):
+        if raw == "inf":
             return Estimation(None)
-        k = int(raw)
-        if k < 1:
-            raise InvalidDims("tomo copy budget must be >= 1")
-        return Estimation(k)
+        if not (raw.isdecimal() and int(raw) >= 1):
+            raise InvalidDims(
+                f"tomo copy budget must be an integer >= 1 or inf, got {text!r}; "
+                f"expected one of {STRATEGY_GRAMMAR}"
+            )
+        return Estimation(int(raw))
     raise InvalidDims(f"unknown strategy {text!r}; expected one of {STRATEGY_GRAMMAR}")

@@ -35,19 +35,15 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    logx: bool = False,
-    logy: bool = False,
+    loglog: bool = False,
 ) -> None:
-    """Write a multi-series line chart to ``path`` as standalone SVG."""
+    """Write a multi-series line chart to ``path`` as standalone SVG, log-log with ``loglog``."""
 
-    def tx(v):
-        return math.log10(v) if logx else v
+    def scale(v):
+        return math.log10(v) if loglog else v
 
-    def ty(v):
-        return math.log10(v) if logy else v
-
-    xs_all = [tx(x) for xs, _ in series.values() for x in xs]
-    ys_all = [ty(y) for _, ys in series.values() for y in ys]
+    xs_all = [scale(x) for xs, _ in series.values() for x in xs]
+    ys_all = [scale(y) for _, ys in series.values() for y in ys]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -58,10 +54,10 @@ def line_chart(
     y0, y1 = y0 - pad, y1 + pad
 
     def px(v):
-        return _ML + (tx(v) - x0) / (x1 - x0) * (_W - _ML - _MR)
+        return _ML + (scale(v) - x0) / (x1 - x0) * (_W - _ML - _MR)
 
     def py(v):
-        return _H - _MB - (ty(v) - y0) / (y1 - y0) * (_H - _MT - _MB)
+        return _H - _MB - (scale(v) - y0) / (y1 - y0) * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -75,7 +71,7 @@ def line_chart(
         f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>'
     )
     for t in _ticks(x0, x1):
-        v = 10**t if logx else t
+        v = 10**t if loglog else t
         x = _ML + (t - x0) / (x1 - x0) * (_W - _ML - _MR)
         parts.append(
             f'<line x1="{x:.1f}" y1="{_H - _MB}" x2="{x:.1f}" y2="{_H - _MB + 5}" stroke="black"/>'
@@ -84,7 +80,7 @@ def line_chart(
             f'<text x="{x:.1f}" y="{_H - _MB + 18}" text-anchor="middle">{v:g}</text>'
         )
     for t in _ticks(y0, y1):
-        v = 10**t if logy else t
+        v = 10**t if loglog else t
         y = _H - _MB - (t - y0) / (y1 - y0) * (_H - _MT - _MB)
         parts.append(
             f'<line x1="{_ML - 5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>'

@@ -7,6 +7,7 @@ import pytest
 
 from purifylab.cli import _mp_ks_distance, main
 from purifylab.ensembles import mp_cdf, mp_support
+from purifylab.strategies import STRATEGY_GRAMMAR
 
 
 def run_cli(args):
@@ -139,6 +140,16 @@ class TestSweep:
 
     def test_bad_range_exit_2(self):
         assert run_cli(["sweep", "--de", "5..2"]) == 2
+
+    @pytest.mark.parametrize("budget", ["abc", "", "none"])
+    def test_bad_tomo_budget_names_the_grammar(self, tmp_path, capsys, budget):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--de", "1", "--n", "3", "--strategies", f"tomo:k={budget}",
+                "--out", str(out)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"'tomo:k={budget}'" in err and STRATEGY_GRAMMAR in err
+        assert not out.exists()
 
 
 class TestWorkerReproducibility:

@@ -41,6 +41,21 @@ class TestSpecAndStream:
         with pytest.raises(InvalidDims):
             EnsembleSpec(4, 2, 1)  # d_o * d_e < d_i
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", "7"), ("d_i", 2.0), ("d_e", np.float64(2)), ("d_o", None)],
+    )
+    def test_spec_rejects_non_integers(self, field, value):
+        # each would otherwise fail with a bare TypeError at the first draw
+        dims = {"d_i": 2, "d_o": 2, "d_e": 2, field: value}
+        with pytest.raises(InvalidDims, match=field):
+            EnsembleSpec(**dims)
+
+    def test_spec_takes_numpy_integers(self):
+        spec = EnsembleSpec(np.int32(2), np.uint8(2), np.int64(3), seed=np.uint64(M64))
+        assert spec == EnsembleSpec(2, 2, 3, seed=M64)
+        assert all(type(v) is int for v in (*spec.dims, spec.seed))
+
     def test_stream_determinism(self):
         a = ensembles.sample_ginibre(3, 4, RandomStream(123, 7))
         b = ensembles.sample_ginibre(3, 4, RandomStream(123, 7))
@@ -216,13 +231,25 @@ class TestStreamContract:
         assert calls == {"generator": 37, "ginibre": 37}
         assert np.array_equal(got, want)
 
-    def test_zero_counter_stays_zero(self):
-        gen = RandomStream(20245, 14).generator()
-        gen.standard_normal(1000)
-        assert gen.bit_generator.state["state"]["counter"].any()
-        ensembles._vmat_bank(EnsembleSpec(2, 2, 2, seed=5), 0, 8, ensembles.PURPOSE_SAMPLE)
-        assert ensembles._ZERO_COUNTER.dtype == np.uint64
-        assert np.array_equal(ensembles._ZERO_COUNTER, np.zeros(4))
+    def test_generator_reads_no_os_entropy(self, monkeypatch):
+        # numpy seeds a SeedSequence from OS entropy through
+        # bit_generator.randbits; Philox(key=...) builds one, Philox(0) does not
+        from numpy.random import bit_generator
+
+        def no_entropy(*args):
+            raise AssertionError("read OS entropy")
+
+        spec = EnsembleSpec(2, 3, 2, seed=5)
+        want = ensembles._vmat_bank(spec, 0, 8, ensembles.PURPOSE_SAMPLE)
+        ref = philox_reference(20245, 14)
+        monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            philox_reference(20245, 14)
+        assert_same_draws(RandomStream(20245, 14).generator(), ref)
+        # the bank builds a new scratch generator, as on a thread's first draw
+        monkeypatch.delattr(ensembles._SCRATCH, "rng")
+        got = ensembles._vmat_bank(spec, 0, 8, ensembles.PURPOSE_SAMPLE)
+        assert np.array_equal(got, want)
 
     def test_value_type_replay_interleaved(self):
         stream = RandomStream(20245, (1 << 48) + 3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from purifylab.channels import (
 from purifylab.ensembles import EnsembleSpec, RandomStream
 from purifylab.errors import InvalidDims, InvalidWeights
 from purifylab.strategies import (
+    STRATEGY_GRAMMAR,
     Append,
     Estimation,
     MapToDepolarizing,
@@ -183,6 +186,30 @@ class TestTomographyEstimate:
         err = Estimation(64).chunk_errors(spec, 37065, 37066)
         assert 0.0 <= err[0] <= 2 * spec.d_i**2
 
+    def test_chunk_rekeys_one_generator(self, monkeypatch):
+        # one generator per chunk, re-keyed per sample, draws the bits a
+        # fresh generator per sample does
+        spec = EnsembleSpec(2, 2, 3, seed=48)
+        lo, hi, k = 5, 12, 16
+        want = []
+        for i in range(lo, hi):
+            gen = spec.stream(i).generator()
+            c, _ = ensembles.sample_choi(spec, gen)
+            est = tomography_estimate(c, k, gen)
+            want.append(PureOutput(est).errors(spec.d_i, c.matrix[None])[0])
+        made = []
+        generator = RandomStream.generator
+
+        def counted(self, *args, **kwargs):
+            made.append(generator(self, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(RandomStream, "generator", counted)
+        got = Estimation(k).chunk_errors(spec, lo, hi)
+        assert len(made) == hi - lo
+        assert all(g is made[0] for g in made)
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_single_shot_outcome_law(self):
         # A Haar-basis measurement of the pure |s> returns |b> with
         # x = |<s|b>|^2 ~ Beta(2, D-1) (the Born rule size-biases the uniform
@@ -236,6 +263,11 @@ class TestParse:
         assert parse_strategy("tomo:k=inf", spec).k is None
         with pytest.raises(InvalidDims):
             parse_strategy("tomo:k=0", spec)
+
+    @pytest.mark.parametrize("text", ["tomo:k=abc", "tomo:k=", "tomo:k=none", "tomo:k=-3", "tomo:k=1.5"])
+    def test_tomo_bad_budget_names_the_grammar(self, text):
+        with pytest.raises(InvalidDims, match=re.escape(STRATEGY_GRAMMAR)):
+            parse_strategy(text, EnsembleSpec(2, 2, 2, seed=54))
 
     def test_append_optimal_needs_weights(self):
         spec = EnsembleSpec(2, 2, 2, seed=55)
