@@ -11,9 +11,12 @@ reference density that governs the spectra at large dimension.
 
 All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
-matter how samples are distributed over workers.  The sample bank keys one
-stream per sample and writes each Ginibre draw straight into its row of
-the bank (``sample_ginibre(..., out=row)``), with no temporary.  One method,
+matter how samples are distributed over workers.  One method,
+:meth:`EnsembleSpec.streams`, forms the keys of a range of samples and
+range-checks the whole range before it returns a stream; a lone
+:meth:`EnsembleSpec.stream` is a range of one.  The sample bank takes one
+stream per sample from it and writes each Ginibre draw straight into its row
+of the bank (``sample_ginibre(..., out=row)``), with no temporary.  One method,
 :meth:`RandomStream.generator`, writes a stream's Philox state, into a new
 generator or into one the caller holds: a keyed Ginibre draw re-keys its
 thread's scratch generator, and a tomography chunk re-keys one of its own.
@@ -25,6 +28,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,21 +96,29 @@ class EnsembleSpec:
         return (self.d_i, self.d_o, self.d_e)
 
     def stream(self, index: int, purpose: int = PURPOSE_SAMPLE) -> "RandomStream":
-        """Counter-based substream for sample ``index`` of a given purpose.
+        """Counter-based substream for sample ``index`` of a given purpose:
+        :meth:`streams` over the range of one sample."""
+        index = operator.index(index)
+        return next(self.streams(index, index + 1, purpose))
 
-        The index is ``(purpose << 48) + index``; an index outside [0, 2^48)
-        or a purpose outside [0, 2^16) would alias another purpose's streams
-        (or wrap the 64-bit key word), so both raise :class:`InvalidDims`.
-        NumPy integers are taken as Python ints first, so the key arithmetic
-        cannot wrap in a fixed-width dtype.
+    def streams(self, lo: int, hi: int, purpose: int = PURPOSE_SAMPLE):
+        """Substreams of samples ``lo, ..., hi - 1`` of a given purpose, in order.
+
+        The one place a stream index is formed: ``(purpose << 48) + index``.
+        A sample index outside [0, 2^48) or a purpose outside [0, 2^16) would
+        alias another purpose's streams (or wrap the 64-bit key word), so the
+        whole range is checked, and :class:`InvalidDims` raised, before any
+        stream is returned.  NumPy integers are taken as Python ints first,
+        so the key arithmetic cannot wrap in a fixed-width dtype.
         """
-        index, purpose = operator.index(index), operator.index(purpose)
-        if not (0 <= index < 1 << 48 and 0 <= purpose < 1 << 16):
+        lo, hi, purpose = operator.index(lo), operator.index(hi), operator.index(purpose)
+        if not (0 <= lo <= hi <= 1 << 48 and 0 <= purpose < 1 << 16):
             raise InvalidDims(
-                f"stream needs 0 <= index < 2^48 and 0 <= purpose < 2^16, "
-                f"got index {index}, purpose {purpose}"
+                f"streams need sample indices in [0, 2^48) and a purpose in "
+                f"[0, 2^16), got indices [{lo}, {hi}), purpose {purpose}"
             )
-        return RandomStream(self.seed, (purpose << 48) + index)
+        base = purpose << 48
+        return map(partial(RandomStream, self.seed), range(base + lo, base + hi))
 
 
 @dataclass(frozen=True)
@@ -119,7 +131,7 @@ class RandomStream:
     sequence.
 
     The Philox key is ``[seed mod 2^64, index mod 2^64]`` and the counter
-    starts at 0; :meth:`EnsembleSpec.stream` forms the index as
+    starts at 0; :meth:`EnsembleSpec.streams` forms the index as
     ``(purpose << 48) + sample``.  Seed and index may be any integers,
     NumPy's included.
 
@@ -151,6 +163,12 @@ class RandomStream:
 
 # Per-thread Philox that keyed Ginibre draws re-key (RandomStream.generator).
 _SCRATCH = threading.local()
+# The Ginibre scale 1/sqrt(2), as a read-only 0-d float64 array: an in-place
+# multiply by it gives the bits of a multiply by the Python float, and skips
+# converting that float on every draw.
+_SQRT_HALF = np.array(1.0 / math.sqrt(2.0))
+_SQRT_HALF.flags.writeable = False
+_COMPLEX128 = np.dtype(np.complex128)
 
 
 def _as_generator(rs: RandomStream | np.random.Generator) -> np.random.Generator:
@@ -171,7 +189,7 @@ def _complex_normals(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     x = out.view(float)
     rng.standard_normal(out=x)
-    x *= 1.0 / math.sqrt(2.0)
+    x *= _SQRT_HALF
     return out
 
 
@@ -195,7 +213,7 @@ def sample_ginibre(
         out = np.empty((rows, cols), dtype=complex)
     elif (
         out.shape != (rows, cols)
-        or out.dtype != np.complex128
+        or out.dtype != _COMPLEX128
         or not out.flags.c_contiguous
     ):
         raise InvalidDims(
@@ -203,7 +221,10 @@ def sample_ginibre(
             f"got {out.dtype} {out.shape}"
         )
     if isinstance(rs, RandomStream):
-        rs = _SCRATCH.rng = rs.generator(into=getattr(_SCRATCH, "rng", None))
+        scratch = getattr(_SCRATCH, "rng", None)
+        rs = rs.generator(into=scratch)
+        if scratch is None:
+            _SCRATCH.rng = rs
     return _complex_normals(out, rs)
 
 
@@ -285,11 +306,11 @@ def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray
     """Purification matrices (batch, d_i*d_o, d_e) for sample indices [lo, hi)."""
     d_i, d_o, d_e = spec.dims
     big = d_o * d_e
-    count = hi - lo
-    gs = np.empty((count, big, d_i), dtype=complex)
-    for j, i in enumerate(range(lo, hi)):
-        sample_ginibre(big, d_i, spec.stream(i, purpose), out=gs[j])
-    return choi_vector(_qr_haar_batch(gs)).reshape(count, d_i * d_o, d_e)
+    streams = spec.streams(lo, hi, purpose)
+    gs = np.empty((hi - lo, big, d_i), dtype=complex)
+    for row, rs in zip(gs, streams):
+        sample_ginibre(big, d_i, rs, out=row)
+    return choi_vector(_qr_haar_batch(gs)).reshape(hi - lo, d_i * d_o, d_e)
 
 
 def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:

@@ -494,15 +494,31 @@ def _symmetric_pairs(side: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _second_moment_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-    """Sum of (v x v)(v x v)† over draws [lo, hi), on the kept Sym^2 columns."""
+    """Sum of (v x v)(v x v)† over draws [lo, hi), on the kept Sym^2 columns.
+
+    Only the blocks on and above the diagonal are summed, in column blocks
+    of width side; the blocks below it are left zero, for
+    ``second_moment_operator`` to mirror.
+    """
     vm = _vmat_bank(spec, lo, hi, PURPOSE_SAMPLE)
     vecs = vm.reshape(hi - lo, -1)
-    kept, _ = _symmetric_pairs(vecs.shape[1])
-    # einsum's v_i v_j equals its v_j v_i bit for bit, so the gathered
-    # columns stand for their mirrors exactly; a plain multiply of the two
-    # columns would round differently.
-    pairs = np.einsum("bi,bj->bij", vecs, vecs).reshape(hi - lo, -1)[:, kept]
-    return np.einsum("bi,bj->ij", pairs, pairs.conj())
+    side = vecs.shape[1]
+    rows, cols = np.divmod(_symmetric_pairs(side)[0], side)
+    # einsum forms v_i v_j with the bits of its v_j v_i, so each kept column
+    # stands for its mirror exactly; a plain multiply would round differently
+    pairs = np.einsum("bk,bk->bk", vecs[:, rows], vecs[:, cols])
+    conj = pairs.conj()
+    m = pairs.shape[1]
+    part = np.zeros((m, m), dtype=complex)
+    for a in range(0, m, side):
+        for b in range(a, m, side):
+            np.einsum(
+                "bi,bj->ij",
+                pairs[:, a : a + side],
+                conj[:, b : b + side],
+                out=part[a : a + side, b : b + side],
+            )
+    return part
 
 
 def second_moment_operator(
@@ -513,11 +529,15 @@ def second_moment_operator(
     v x v lies in the symmetric subspace, so each chunk sums only its
     m = side (side + 1) / 2 columns with i <= j (side = d_i d_o d_e) into
     one m x m partial of m^2 * 16 bytes: 66 MiB at side 64, against
-    256 MiB (side^4 * 16) for all side^2 columns.  Partials are added in
-    index order as they arrive, so the result is worker-count independent
-    and no list of partials is kept; the mean is expanded to
-    side^2 x side^2 once, after the division.  Every entry is the same sum,
-    in the same order, as the full-column accumulation.  Dense storage
+    256 MiB (side^4 * 16) for all side^2 columns.  The partial is Hermitian,
+    so a chunk sums only its blocks on and above the diagonal, and the
+    strict lower triangle is filled once, after the division, as the
+    conjugate of the upper: each entry's products and their order over the
+    draws make the lower entry exactly the conjugate of the upper one.
+    Partials are added in index order as they arrive, so the result is
+    worker-count independent and no list of partials is kept; the mean is
+    expanded to side^2 x side^2 once, at the end.  Every entry is the same
+    sum, in the same order, as the full-column accumulation.  Dense storage
     limits the joint dimension to d_i * d_o * d_e <= 64.
     """
     side = spec.d_i * spec.d_o * spec.d_e
@@ -531,6 +551,8 @@ def second_moment_operator(
         acc += part
         del part  # so a spent partial is not held while the next is drawn
     acc /= n
+    lower = np.tril_indices(len(acc), -1)
+    acc[lower] = acc.T[lower].conj()
     _, full = _symmetric_pairs(side)
     return acc[np.ix_(full, full)]
 

@@ -237,8 +237,8 @@ class Estimation:
         one generator is re-keyed to each sample's stream in turn."""
         out = np.empty(hi - lo)
         gen = None
-        for j, i in enumerate(range(lo, hi)):
-            gen = spec.stream(i).generator(into=gen)
+        for j, rs in enumerate(spec.streams(lo, hi)):
+            gen = rs.generator(into=gen)
             c, _ = sample_choi(spec, gen)
             est = tomography_estimate(c, self.k, gen)
             out[j] = PureOutput(est).errors(spec.d_i, c.matrix[None])[0]

@@ -66,6 +66,15 @@ class TestSpecAndStream:
         b = ensembles.sample_ginibre(3, 4, RandomStream(123, 8))
         assert not np.allclose(a, b)
 
+    def test_streams_are_lone_streams(self):
+        spec = EnsembleSpec(2, 2, 2, seed=99)
+        for purpose in (ensembles.PURPOSE_SAMPLE, ensembles.PURPOSE_FIXED):
+            got = list(spec.streams(5, 9, purpose))
+            assert got == [spec.stream(i, purpose) for i in range(5, 9)]
+        assert list(spec.streams(np.int64(7), np.int64(7))) == []
+        with pytest.raises(InvalidDims):
+            spec.streams(4, 3)
+
     def test_purpose_partition(self):
         spec = EnsembleSpec(2, 2, 2, seed=99)
         s0 = spec.stream(0, ensembles.PURPOSE_SAMPLE)
@@ -231,6 +240,37 @@ class TestStreamContract:
         assert calls == {"generator": 37, "ginibre": 37}
         assert np.array_equal(got, want)
 
+    def test_bank_key_range_checked_before_drawing(self, monkeypatch):
+        # a range that runs past 2^48, or a purpose past 2^16, is rejected
+        # whole: no row of it is drawn
+        calls = []
+        ginibre = ensembles.sample_ginibre
+
+        def counted_ginibre(*args, **kwargs):
+            calls.append(args[2])
+            return ginibre(*args, **kwargs)
+
+        spec = EnsembleSpec(2, 3, 2, seed=8)
+        monkeypatch.setattr(ensembles, "sample_ginibre", counted_ginibre)
+        for lo, hi, purpose in [
+            (2**48 - 2, 2**48 + 1, ensembles.PURPOSE_SAMPLE),
+            (0, 4, 1 << 16),
+        ]:
+            with pytest.raises(InvalidDims):
+                ensembles._vmat_bank(spec, lo, hi, purpose)
+        assert calls == []
+        # the last rows below 2^48 are drawn, one call each, and are the
+        # lone streams' channels
+        top = range(2**48 - 3, 2**48)
+        for purpose in (ensembles.PURPOSE_SAMPLE, ensembles.PURPOSE_WEIGHTS, 3):
+            bank = ensembles._vmat_bank(spec, top.start, top.stop, purpose)
+            assert calls == [spec.stream(i, purpose) for i in top]
+            calls.clear()
+            for row, i in zip(bank, top):
+                _, pur = ensembles.sample_choi(spec, spec.stream(i, purpose))
+                assert np.array_equal(row, pur.as_matrix())
+            calls.clear()
+
     def test_generator_reads_no_os_entropy(self, monkeypatch):
         # numpy seeds a SeedSequence from OS entropy through
         # bit_generator.randbits; Philox(key=...) builds one, Philox(0) does not
@@ -295,11 +335,14 @@ class TestStreamContract:
             np.empty((4, 2), dtype=np.complex64),  # would take float32 normals
             np.empty((4, 4), dtype=complex)[:, ::2],  # not contiguous
             np.empty((4, 2, 2)),  # the float pairs, not their complex view
+            np.empty((4, 2), dtype=">c16"),  # complex128, but byte-swapped
+            np.empty((0, 2), dtype=complex),  # asked for as zero rows
         ],
     )
     def test_ginibre_out_rejects_bad_buffer(self, buf):
+        rows = 4 if len(buf) else 0
         with pytest.raises(InvalidDims):
-            ensembles.sample_ginibre(4, 2, RandomStream(20245, 11), out=buf)
+            ensembles.sample_ginibre(rows, 2, RandomStream(20245, 11), out=buf)
 
     @pytest.mark.parametrize("d, count", [(1, 1), (2, 4), (4, 64)])
     def test_haar_batch_matches_split_formula(self, d, count):

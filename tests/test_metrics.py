@@ -413,7 +413,18 @@ def full_column_second_moment(spec, n):
 class TestSecondMoment:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "dims, n", [((2, 2, 2), 1300), ((1, 2, 3), 700), ((2, 3, 2), 600), ((2, 2, 4), 1100)]
+        "dims, n",
+        [
+            ((2, 2, 2), 1300),
+            ((1, 2, 3), 700),
+            ((2, 3, 2), 600),
+            ((2, 2, 4), 1100),
+            # m = side (side + 1) / 2 Sym^2 columns, summed in blocks of side:
+            # at m = 3, side 2 and m = 21, side 6 the last block is narrower
+            ((1, 2, 1), 700),
+            ((2, 3, 1), 600),
+            ((2, 2, 2), 513),  # the last chunk holds one draw
+        ],
     )
     def test_matches_full_column_oracle(self, dims, n, workers):
         spec = EnsembleSpec(*dims, seed=110)
