@@ -247,9 +247,7 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
         tol = metrics.closed_form_tolerance(rep.stderr[0])
         return expect, rep.value, tol, abs(rep.value - expect) <= tol
     if name == "dep-constant":
-        rep = estimate_average_error(
-            parse_strategy("dep", spec), spec, n, workers=workers, keep_per_sample=True
-        )
+        rep = estimate_average_error(parse_strategy("dep", spec), spec, n, workers=workers)
         expect = rep.closed_form
         spread = float(np.ptp(rep.per_sample))
         ok = spread == 0.0 and abs(rep.mean - expect) < 1e-9 and rep.stderr == 0.0
@@ -301,7 +299,7 @@ def cmd_sweep(args) -> int:
             strat = metrics.make_strategy(text, spec, n_weights=args.n, workers=args.workers)
             rep = estimate_average_error(strat, spec, args.n, workers=args.workers)
             rows.append(
-                [d_e, text, rep.mean, rep.stderr, rep.closed_form, rep.n, rep.seed]
+                [d_e, text, rep.mean, rep.stderr, rep.closed_form, args.n, args.seed]
             )
             curves[text][0].append(d_e)
             curves[text][1].append(rep.mean)

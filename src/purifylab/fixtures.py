@@ -30,64 +30,41 @@ def _matrix_from_json(data: dict) -> np.ndarray:
     return _from_re_im(data["re_im"]).reshape(side, side)
 
 
-def _op_depolarizing_choi(inp):
-    return depolarizing_choi(inp["d_i"], inp["d_o"]).matrix
+def _op_depolarizing_choi(d_i, d_o):
+    return depolarizing_choi(d_i, d_o).matrix
 
 
-def _op_avg_purity(inp):
-    return theory.avg_purity(inp["d_i"], inp["d_o"], inp["d_e"])
+def _op_flip_trace(d):
+    return float(np.trace(flip_operator(d)).real)
 
 
-def _op_eps_dep(inp):
-    return theory.eps_dep(inp["d_i"], inp["d_o"], inp["d_e"])
+def _op_fidelity(rho, sigma):
+    return fidelity(_matrix_from_json(rho), _matrix_from_json(sigma))
 
 
-def _op_eps_avg_ue(inp):
-    return theory.eps_avg_ue(inp["d_i"], inp["d_o"], inp["d_e"])
-
-
-def _op_eps_app_bounds(inp):
-    return list(theory.eps_app_bounds(inp["d_i"], inp["d_o"], inp["d_e"]))
-
-
-def _op_mp_mu(inp):
-    return mp_mu(inp["c"])
-
-
-def _op_complete_elliptic(inp):
-    return list(complete_elliptic(inp["m"]))
-
-
-def _op_flip_trace(inp):
-    return float(np.trace(flip_operator(inp["d"])).real)
-
-
-def _op_fidelity(inp):
-    return fidelity(_matrix_from_json(inp["rho"]), _matrix_from_json(inp["sigma"]))
-
-
-def _op_kraus_roundtrip_dev(inp):
-    c = ChoiOperator.from_json_dict(inp["choi"])
+def _op_kraus_roundtrip_dev(choi):
+    c = ChoiOperator.from_json_dict(choi)
     back = choi_from_kraus(kraus_from_choi(c))
     return float(np.max(np.abs(back.matrix - c.matrix)))
 
 
-def _op_stinespring_marginal_dev(inp):
-    c = ChoiOperator.from_json_dict(inp["choi"])
-    v = stinespring_from_choi(c, inp["d_e"])
+def _op_stinespring_marginal_dev(choi, d_e):
+    c = ChoiOperator.from_json_dict(choi)
+    v = stinespring_from_choi(c, d_e)
     return float(np.max(np.abs(v.marginal_choi().matrix - c.matrix)))
 
 
+# op name -> function called with the record's input as keyword arguments
 _OPS = {
     "depolarizing_choi": _op_depolarizing_choi,
-    "avg_purity": _op_avg_purity,
-    "eps_dep": _op_eps_dep,
-    "eps_avg_ue": _op_eps_avg_ue,
-    "eps_app_bounds": _op_eps_app_bounds,
+    "avg_purity": theory.avg_purity,
+    "eps_dep": theory.eps_dep,
+    "eps_avg_ue": theory.eps_avg_ue,
+    "eps_app_bounds": theory.eps_app_bounds,
     # the per-sample error of the map-to-depolarizing machine is eps_dep
-    "error_map_to_depolarizing": _op_eps_dep,
-    "mp_mu": _op_mp_mu,
-    "complete_elliptic": _op_complete_elliptic,
+    "error_map_to_depolarizing": theory.eps_dep,
+    "mp_mu": mp_mu,
+    "complete_elliptic": complete_elliptic,
     "flip_trace": _op_flip_trace,
     "fidelity": _op_fidelity,
     "kraus_roundtrip_dev": _op_kraus_roundtrip_dev,
@@ -119,27 +96,39 @@ def run_fixtures(path: str | None = None) -> dict:
     except json.JSONDecodeError as exc:
         raise PurifyLabError(f"fixture file does not parse: {exc}") from exc
 
+    if not isinstance(records, list):
+        raise PurifyLabError("fixture file must hold a list of records")
     results = []
     passed = 0
-    for rec in records:
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise PurifyLabError(f"fixture record {i} is not an object: {rec!r}")
         for key in ("name", "op", "input", "expected", "tol", "provenance"):
             if key not in rec:
                 raise PurifyLabError(f"fixture record missing field {key!r}: {rec}")
+        name, tol = rec["name"], rec["tol"]
         if rec["provenance"] not in PROVENANCE_TAGS:
             raise PurifyLabError(f"unknown provenance tag {rec['provenance']!r}")
         op = _OPS.get(rec["op"])
         if op is None:
             raise PurifyLabError(f"unknown fixture op {rec['op']!r}")
-        got = op(rec["input"])
+        if not isinstance(rec["input"], dict):
+            raise PurifyLabError(f"fixture {name!r}: input is not an object")
+        if not isinstance(tol, (int, float)):
+            raise PurifyLabError(f"fixture {name!r}: tol {tol!r} is not a number")
+        try:
+            got = op(**rec["input"])
+        except TypeError as exc:  # a missing or unexpected input key
+            raise PurifyLabError(f"fixture {name!r}: bad input: {exc}") from exc
         dev = _max_dev(got, rec["expected"])
-        ok = dev <= rec["tol"]
+        ok = dev <= tol
         passed += ok
         results.append(
             {
-                "name": rec["name"],
+                "name": name,
                 "provenance": rec["provenance"],
                 "deviation": dev,
-                "tolerance": rec["tol"],
+                "tolerance": tol,
                 "status": "pass" if ok else "FAIL",
             }
         )

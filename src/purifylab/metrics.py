@@ -113,18 +113,17 @@ def closed_form_tolerance(stderr) -> float:
 
 @dataclass
 class ErrorReport:
-    """Monte Carlo estimate of an average purification error."""
+    """Monte Carlo estimate of an average purification error.
 
-    strategy: str
-    d_i: int
-    d_o: int
-    d_e: int
-    n: int
-    seed: int
+    ``per_sample`` holds the error of every sample, in index order; ``mean``
+    and ``stderr`` summarize it, and ``closed_form`` is the strategy's exact
+    value, or None where it has none.
+    """
+
     mean: float
     stderr: float
-    closed_form: Optional[float] = None
-    per_sample: Optional[np.ndarray] = None
+    closed_form: Optional[float]
+    per_sample: np.ndarray
 
     def consistent_with_closed_form(self) -> Optional[bool]:
         """None when no closed form is attached; otherwise the 3-sigma check."""
@@ -145,11 +144,8 @@ class OrbitResult:
 class MomentReport:
     """Monte Carlo estimate of a spectral moment (vector-valued in general)."""
 
-    name: str
     values: np.ndarray
     stderr: np.ndarray
-    n: int
-    seed: int
 
     @property
     def value(self) -> float:
@@ -255,6 +251,19 @@ def _ascend(
     return f, u, converged
 
 
+def _orbit_inputs(q_out: np.ndarray, v: PurificationVector) -> np.ndarray:
+    """Q as a complex array, after the checks both orbit routes make: Q is
+    PSD, square on I O E and of trace d_i, and v is a valid purification."""
+    q = np.asarray(q_out, dtype=complex)
+    side = v.d_i * v.d_o * v.d_e
+    if q.shape != (side, side):
+        raise InvalidDims(f"machine output shape {q.shape}, expected {(side, side)}")
+    _psd_eigvalsh(q)
+    v.validate()
+    _require_norm(np.trace(q).real, v.d_i, "trace of Q")
+    return q
+
+
 def error_orbit_numeric(
     q_out: np.ndarray,
     v: PurificationVector,
@@ -271,13 +280,7 @@ def error_orbit_numeric(
     lies in [0, 2 d_i^2] before its clip.
     """
     rng = _as_generator(rs if rs is not None else RandomStream(0, 0))
-    q = np.asarray(q_out, dtype=complex)
-    side = v.d_i * v.d_o * v.d_e
-    if q.shape != (side, side):
-        raise InvalidDims(f"machine output shape {q.shape}, expected {(side, side)}")
-    _psd_eigvalsh(q)
-    v.validate()
-    _require_norm(np.trace(q).real, v.d_i, "trace of Q")
+    q = _orbit_inputs(q_out, v)
 
     eye = np.eye(v.d_e, dtype=complex)[None]
     starts = np.concatenate([eye, haar_unitaries_batch(v.d_e, _RESTARTS - 1, rng)])
@@ -294,13 +297,14 @@ def orbit_bruteforce(
 
     Scans an Euler-angle grid on U(2) modulo global phase (``resolution``
     points per angle); the result upper-bounds the true orbit minimum and
-    serves as an independent oracle for the numeric ascent.
+    serves as an independent oracle for the numeric ascent.  It rejects the
+    inputs ``error_orbit_numeric`` rejects.
     """
     if v.d_e > 2:
         raise TooLarge("brute-force grid supports d_e <= 2 only")
     if resolution < 1:
         raise InvalidDims(f"grid resolution {resolution} is below 1")
-    q = np.asarray(q_out, dtype=complex)
+    q = _orbit_inputs(q_out, v)
     q_purity = _purities(q[None])[0]
     vmat = v.as_matrix()
     if v.d_e == 1:
@@ -368,46 +372,27 @@ def _chunk_map(fn, n: int, workers: int):
         yield from pool.map(fn, *zip(*bounds))
 
 
-def per_sample_errors(
-    strategy: Strategy, spec: EnsembleSpec, n: int, workers: int = 1
-) -> np.ndarray:
-    """Per-sample errors for indices 0..n-1, identical for any worker count."""
-    chunks = _chunk_map(partial(strategy.chunk_errors, spec), n, workers)
-    return np.concatenate(list(chunks))
-
-
 def estimate_average_error(
-    strategy: Strategy,
-    spec: EnsembleSpec,
-    n: int,
-    *,
-    workers: int = 1,
-    keep_per_sample: bool = False,
+    strategy: Strategy, spec: EnsembleSpec, n: int, *, workers: int = 1
 ) -> ErrorReport:
     """Monte Carlo mean and standard error of the per-sample purification error.
 
-    Each sample uses the substream keyed by its index; the closed-form field
-    is filled whenever the strategy admits a moment-free exact value.
+    Each sample uses the substream keyed by its index, so the report's
+    per-sample errors are identical for any worker count.  The closed-form
+    field is filled whenever the strategy admits a moment-free exact value.
     Sample variance below 1e-20 is reported as stderr exactly zero
     (genuinely constant strategies).
     """
     if n < 2:
         raise InvalidDims("Monte Carlo estimation needs n >= 2")
-    per = per_sample_errors(strategy, spec, n, workers)
-    mean = float(np.mean(per))
+    chunks = _chunk_map(partial(strategy.chunk_errors, spec), n, workers)
+    per = np.concatenate(list(chunks))
     var = float(np.var(per, ddof=1))
-    stderr = 0.0 if var < ZERO_VARIANCE else math.sqrt(var / n)
     return ErrorReport(
-        strategy=strategy.label,
-        d_i=spec.d_i,
-        d_o=spec.d_o,
-        d_e=spec.d_e,
-        n=n,
-        seed=spec.seed,
-        mean=mean,
-        stderr=stderr,
+        mean=float(np.mean(per)),
+        stderr=0.0 if var < ZERO_VARIANCE else math.sqrt(var / n),
         closed_form=strategy.closed_form(spec),
-        per_sample=per if keep_per_sample else None,
+        per_sample=per,
     )
 
 
@@ -452,7 +437,7 @@ def estimate_moments(
     samples = np.concatenate(list(chunks), axis=0)
     values = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n)
-    return MomentReport(which, values, stderr, n, spec.seed)
+    return MomentReport(values, stderr)
 
 
 def estimate_ordered_weights(

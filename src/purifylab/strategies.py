@@ -96,13 +96,15 @@ class _BankScored:
 def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
     """Exact orbit-minimized error of a fixed pure output against channel c.
 
-    A batch of one through :meth:`PureOutput.errors`, after ``c.validate()``.
+    A batch of one through :meth:`PureOutput.errors`, after ``c.validate()``
+    and ``w.validate()``.
     Depends on w only through its marginal; environments of different size
     need no explicit embedding.
     """
     if (c.d_i, c.d_o) != (w.d_i, w.d_o):
         raise InvalidDims("channel and pure output dims differ")
     c.validate()
+    w.validate()
     return float(PureOutput(w).errors(c.d_i, c.matrix[None])[0])
 
 

@@ -54,9 +54,7 @@ def test_01_average_purity():
 
 def test_02_map_to_depolarizing_exact():
     spec = EnsembleSpec(2, 2, 3, seed=20_241)
-    rep = estimate_average_error(
-        parse_strategy("dep", spec), spec, 100, keep_per_sample=True
-    )
+    rep = estimate_average_error(parse_strategy("dep", spec), spec, 100)
     per_sample_exact = np.all(np.abs(rep.per_sample - (4 - 1 / 3)) <= 1e-9)
     zero_spread = float(np.ptp(rep.per_sample)) == 0.0
     ok = per_sample_exact and zero_spread and rep.stderr == 0.0

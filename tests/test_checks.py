@@ -126,6 +126,29 @@ class TestOrbitInput:
         with pytest.raises(InvalidDims):
             orbit_bruteforce(v.projector(), v, resolution=0)
 
+    @pytest.mark.parametrize("route", [error_orbit_numeric, orbit_bruteforce])
+    @pytest.mark.parametrize("bad, exc", [
+        ("shape", InvalidDims), ("negative", NotPSD), ("nan", NotHermitian),
+        ("norm", NotNormalized),
+    ])
+    def test_both_routes_reject(self, route, bad, exc):
+        # the brute-force oracle used to broadcast-fail on a 3 x 3 Q and to
+        # score -Q 7.37, a NaN Q nan and a purification of norm 4 d_i 0.0
+        spec = EnsembleSpec(2, 2, 2, seed=0)
+        c, v = sample_choi(spec, spec.stream(0))
+        q = np.kron(c.matrix, np.eye(2) / 2)
+        route(q, v)
+        if bad == "shape":
+            q = np.eye(3)
+        elif bad == "negative":
+            q = -q
+        elif bad == "nan":
+            q[0, 0] = np.nan
+        else:
+            v = channels.PurificationVector(2, 2, 2, 2.0 * v.vector)
+        with pytest.raises(exc):
+            route(q, v)
+
 
 class TestNormalisation:
     @SIDES
@@ -215,6 +238,15 @@ class TestSingleSampleChannel:
             error_append(c, np.array([[1.0]]))
         with pytest.raises(exc):
             error_pure_output(c, max_entangled_purification(2, 2))
+
+    @SIDES
+    def test_pure_output_norm(self, f):
+        # a pure output of squared norm 9 d_i used to score 0.0
+        w = max_entangled_purification(2, 2)
+        scaled = channels.PurificationVector(
+            w.d_i, w.d_o, w.d_e, np.sqrt(1.0 + f * linalg.NORM_TOL) * w.vector
+        )
+        check(f, NotNormalized, lambda: error_pure_output(sampled_choi(), scaled))
 
     def test_rank_above_environment(self):
         # rank 3 at (2, 2, 3) has no purification on a 2-dim environment
@@ -314,8 +346,8 @@ class TestFidelityUhlmannRoute:
 
 class TestClosedFormAgreement:
     def test_slack_is_1e_12(self):
-        rep = ErrorReport("dep", 2, 2, 2, 100, 0, mean=1.0 + 1e-10, stderr=0.0,
-                          closed_form=1.0)
+        rep = ErrorReport(mean=1.0 + 1e-10, stderr=0.0, closed_form=1.0,
+                          per_sample=np.full(100, 1.0 + 1e-10))
         assert rep.consistent_with_closed_form() is False
         rep.mean = 1.0 + 1e-13
         assert rep.consistent_with_closed_form() is True

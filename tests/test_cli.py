@@ -486,6 +486,15 @@ class TestFixturesCommand:
         bad.write_text("{not json")
         assert run_cli(["fixtures", str(bad)]) == 2
 
+    def test_malformed_record_exit_2(self, tmp_path, capsys):
+        # a missing input key used to end in a KeyError traceback, exit 1
+        bad = tmp_path / "bad.json"
+        rec = {"name": "short", "op": "avg_purity", "input": {"d_i": 2, "d_o": 2},
+               "expected": 1.6, "tol": 1e-12, "provenance": "closed_form"}
+        bad.write_text(json.dumps([rec]))
+        assert run_cli(["fixtures", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: fixture 'short'")
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):

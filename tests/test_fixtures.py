@@ -18,7 +18,29 @@ class TestBundledFixtures:
             assert rec["provenance"] in PROVENANCE_TAGS
 
 
+def _record(**changes):
+    rec = {"name": "x", "op": "avg_purity", "input": {"d_i": 2, "d_o": 2, "d_e": 2},
+           "expected": 1.6, "tol": 1e-12, "provenance": "closed_form"}
+    rec.update(changes)
+    return rec
+
+
 class TestSchemaEnforcement:
+    @pytest.mark.parametrize("records, match", [
+        ([_record(input={"d_i": 2, "d_o": 2})], "fixture 'x'"),
+        ([_record(input={"d_i": 2, "d_o": 2, "d_e": 2, "n": 3})], "fixture 'x'"),
+        ([_record(input=[1.0])], "fixture 'x'"),
+        ([_record(tol="0.1")], "fixture 'x'"),
+        ([_record(), 1.0], "record 1"),
+        ({"a": _record()}, "list of records"),
+    ], ids=["missing-input-key", "unexpected-input-key", "input-not-object",
+            "tol-not-number", "record-not-object", "file-not-list"])
+    def test_malformed_file_names_the_record(self, tmp_path, records, match):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(records))
+        with pytest.raises(PurifyLabError, match=match):
+            run_fixtures(str(path))
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps([{"name": "x", "op": "mp_mu"}]))

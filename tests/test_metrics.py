@@ -34,7 +34,6 @@ from purifylab.metrics import (
     estimate_ordered_weights,
     make_strategy,
     orbit_bruteforce,
-    per_sample_errors,
     second_moment_closed_form,
     second_moment_operator,
     channel_pair_moment_closed_form,
@@ -290,7 +289,7 @@ class TestBruteForce:
 class TestEstimateAverageError:
     def test_dep_zero_variance(self):
         spec = EnsembleSpec(2, 2, 3, seed=81)
-        rep = estimate_average_error(MapToDepolarizing(3), spec, 100, keep_per_sample=True)
+        rep = estimate_average_error(MapToDepolarizing(3), spec, 100)
         assert np.all(np.abs(rep.per_sample - (4 - 1 / 3)) < 1e-9)
         assert rep.stderr == 0.0
         assert np.ptp(rep.per_sample) == 0.0  # no spread at all
@@ -317,7 +316,7 @@ class TestEstimateAverageError:
     def test_per_sample_errors_bounded(self):
         spec = EnsembleSpec(2, 2, 4, seed=85)
         for text in ("pure:omega", "append:maxmixed", "dep", "avg-ue", "append:pure"):
-            per = per_sample_errors(parse_strategy(text, spec), spec, 50)
+            per = estimate_average_error(parse_strategy(text, spec), spec, 50).per_sample
             assert np.all(per >= 0.0)
             assert np.all(per <= 2 * 4 + 1e-9)
 
@@ -326,8 +325,8 @@ class TestEstimateAverageError:
         # n = 1200 spans three 512-sample chunks, so the pool path runs.
         spec = EnsembleSpec(2, 2, 2, seed=86)
         strat = make_strategy(text, spec, n_weights=1200)
-        a = per_sample_errors(strat, spec, 1200, workers=1)
-        b = per_sample_errors(strat, spec, 1200, workers=4)
+        a = estimate_average_error(strat, spec, 1200, workers=1).per_sample
+        b = estimate_average_error(strat, spec, 1200, workers=4).per_sample
         assert np.array_equal(a, b)
 
     def test_estimation_strategy_report(self):
@@ -342,7 +341,7 @@ class TestEstimateAverageError:
             estimate_average_error(MapToDepolarizing(2), spec, 1)
 
     def test_closed_form_check_defaults_to_three_sigma(self):
-        rep = ErrorReport("dep", 2, 2, 2, 100, 0, mean=1.35, stderr=0.1, closed_form=1.0)
+        rep = ErrorReport(mean=1.35, stderr=0.1, closed_form=1.0, per_sample=np.zeros(100))
         assert rep.consistent_with_closed_form() is False
 
 

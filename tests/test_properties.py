@@ -23,8 +23,8 @@ from purifylab.metrics import (
     _overlap,
     _polar_unitary,
     error_pure_output,
+    estimate_average_error,
     make_strategy,
-    per_sample_errors,
     second_moment_operator,
 )
 from purifylab.strategies import PureOutput
@@ -59,7 +59,7 @@ def test_per_sample_error_in_range(spec, text):
     # pure:separable embeds the input isometrically, so it needs d_o >= d_i.
     assume(text != "pure:separable" or spec.d_o >= spec.d_i)
     strat = make_strategy(text, spec, n_weights=20)
-    per = per_sample_errors(strat, spec, 20)
+    per = estimate_average_error(strat, spec, 20).per_sample
     assert per.shape == (20,)
     assert np.all((per >= 0.0) & (per <= 2 * spec.d_i**2))
 
@@ -69,8 +69,8 @@ def test_per_sample_error_in_range(spec, text):
 def test_avg_ue_equals_append_maxmixed(spec):
     # C x 1/d_e commutes with every environment unitary, so the orbit
     # minimum of the append machine is the environment average.
-    avg = per_sample_errors(make_strategy("avg-ue", spec), spec, 20)
-    app = per_sample_errors(make_strategy("append:maxmixed", spec), spec, 20)
+    avg = estimate_average_error(make_strategy("avg-ue", spec), spec, 20).per_sample
+    app = estimate_average_error(make_strategy("append:maxmixed", spec), spec, 20).per_sample
     assert np.array_equal(avg, app)
 
 
