@@ -233,11 +233,12 @@ def sample_haar_isometry(
 ) -> np.ndarray:
     """Haar-random isometry V (d_out x d_in) with V†V = 1.
 
-    A batch of one through the QR kernel, so the bits match the bank's row.
+    A batch of one through the QR kernel, so the bits match the bank's row;
+    the kernel's view is copied to a C-contiguous matrix.
     """
     if d_out < d_in:
         raise InvalidDims(f"isometry needs d_out >= d_in, got {d_out} < {d_in}")
-    return _qr_haar_batch(sample_ginibre(d_out, d_in, rs)[None])[0]
+    return np.ascontiguousarray(_qr_haar_batch(sample_ginibre(d_out, d_in, rs)[None])[0])
 
 
 def sample_haar_unitary(d: int, rs: RandomStream | np.random.Generator) -> np.ndarray:
@@ -260,11 +261,19 @@ def _qr_haar_batch(g: np.ndarray) -> np.ndarray:
     Every sum adds the rows one by one in row order (:func:`_row_sums`), so
     a matrix gets the same bits alone as in any stack.
 
+    Memory: the kernel drops its reference to G once the working copy
+    exists, so a G that the caller passes without keeping a name for it
+    is freed there, and it returns a (batch, row, column) view of the
+    working array, not a copy.  A caller that needs another layout makes
+    that one copy itself.  Tomography draws at most 2048 bases and 32 MiB
+    of them per stack (``strategies.tomography_estimate``).
+
     Raises :class:`SingularNormalizer` when a column's residual after the
     two passes is at or below 1e-14 times that column's norm in G; a zero
     column trips it too.
     """
     q = g.transpose(2, 1, 0).astype(complex, order="C")
+    del g
     for j, v in enumerate(q):
         norm_in = _norms(v)
         for _ in range(2):
@@ -275,8 +284,8 @@ def _qr_haar_batch(g: np.ndarray) -> np.ndarray:
         if (norm <= 1e-14 * norm_in).any():
             raise SingularNormalizer(f"column {j} of G depends on the columns before it")
         v /= norm
-    # back to C-ordered (batch, row, column), the layout callers index
-    return np.ascontiguousarray(q.transpose(2, 1, 0))
+    # the (batch, row, column) axes callers index, as a view of the work array
+    return q.transpose(2, 1, 0)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -298,19 +307,31 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` independent Haar unitaries, drawn in one pass."""
+    """Stack of ``count`` independent Haar unitaries, drawn in one pass.
+
+    The kernel's (batch, row, column) view, not C-contiguous; the draw
+    peaks at about two stacks of ``count`` * 16 d^2 bytes.  Tomography asks
+    for at most 2048 unitaries and 32 MiB of them at a time.
+    """
     return _qr_haar_batch(_complex_normals(np.empty((count, d, d), dtype=complex), rng))
 
 
 def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:
     """Purification matrices (batch, d_i*d_o, d_e) for sample indices [lo, hi)."""
     d_i, d_o, d_e = spec.dims
-    big = d_o * d_e
-    streams = spec.streams(lo, hi, purpose)
-    gs = np.empty((hi - lo, big, d_i), dtype=complex)
+    # no name holds the Ginibre stack, so the kernel frees it once its work
+    # array exists; choi_vector's copy is the only other stack then held
+    v = _qr_haar_batch(_ginibre_rows(spec.streams(lo, hi, purpose), hi - lo, d_o * d_e, d_i))
+    return choi_vector(v).reshape(hi - lo, d_i * d_o, d_e)
+
+
+def _ginibre_rows(streams, count: int, rows: int, cols: int) -> np.ndarray:
+    """Stack (count, rows, cols) of keyed Ginibre draws, one stream a row,
+    each written straight into its row."""
+    gs = np.empty((count, rows, cols), dtype=complex)
     for row, rs in zip(gs, streams):
-        sample_ginibre(big, d_i, rs, out=row)
-    return choi_vector(_qr_haar_batch(gs)).reshape(hi - lo, d_i * d_o, d_e)
+        sample_ginibre(rows, cols, rs, out=row)
+    return gs
 
 
 def _choi_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:

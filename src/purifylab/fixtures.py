@@ -79,7 +79,7 @@ def _max_dev(got, expected) -> float:
     got_arr = np.asarray(got, dtype=float).reshape(-1)
     want_arr = np.asarray(expected, dtype=float).reshape(-1)
     if got_arr.shape != want_arr.shape:
-        raise PurifyLabError("fixture output shape mismatch")
+        raise ValueError(f"shape {want_arr.shape}, output {got_arr.shape}")
     return float(np.max(np.abs(got_arr - want_arr)))
 
 
@@ -118,9 +118,14 @@ def run_fixtures(path: str | None = None) -> dict:
             raise PurifyLabError(f"fixture {name!r}: tol {tol!r} is not a number")
         try:
             got = op(**rec["input"])
-        except TypeError as exc:  # a missing or unexpected input key
-            raise PurifyLabError(f"fixture {name!r}: bad input: {exc}") from exc
-        dev = _max_dev(got, rec["expected"])
+        except (TypeError, KeyError) as exc:  # a missing or unexpected key
+            raise PurifyLabError(
+                f"fixture {name!r}: bad input: {type(exc).__name__} {exc}"
+            ) from exc
+        try:
+            dev = _max_dev(got, rec["expected"])
+        except (TypeError, ValueError) as exc:  # not numbers, or the wrong shape
+            raise PurifyLabError(f"fixture {name!r}: bad expected value: {exc}") from exc
         ok = dev <= tol
         passed += ok
         results.append(

@@ -44,7 +44,7 @@ from .ensembles import (
 )
 from .errors import InvalidDims, InvalidWeights
 from .linalg import _purities, _require_norm, _require_psd
-from .linalg import hermitianize, psd_factor, uhlmann_overlap
+from .linalg import psd_factor, uhlmann_overlap
 
 __all__ = [
     "PureOutput",
@@ -270,7 +270,11 @@ def optimal_append_spectrum(weights) -> np.ndarray:
     return w / w.sum()
 
 
+# A shot batch holds at most _TOMO_CHUNK bases and _TOMO_BYTES of them; the
+# byte cap binds only above joint dimension 32, so smaller shapes keep the
+# 2048-shot schedule.
 _TOMO_CHUNK = 2048
+_TOMO_BYTES = 32 << 20
 
 
 def tomography_estimate(
@@ -288,6 +292,10 @@ def tomography_estimate(
     is projected onto the PSD cone; its top eigenvector, rescaled to norm
     sqrt(d_i), is the reprepared purification.  The environment size is the
     numerical rank of the input, and the infidelity decays like 1/k.
+
+    The shots are drawn in batches of at most 2048 bases and at most 32 MiB
+    of them (16 D^2 bytes a basis), so a batch's memory is bounded at any D;
+    below D = 32 only the 2048-shot cap binds.
     """
     rng = _as_generator(rs)
     # one factor C = S S† gives both the rank and the canonical dilation
@@ -301,13 +309,14 @@ def tomography_estimate(
     psi = (s @ sample_haar_unitary(r, rng).T).reshape(-1) / math.sqrt(c.d_i)
     dim = psi.size
 
+    cap = max(1, min(_TOMO_CHUNK, _TOMO_BYTES // (16 * dim * dim)))
     basis_sum = np.zeros((dim, dim), dtype=complex)
     done = 0
     while done < k:
-        batch = min(_TOMO_CHUNK, k - done)
+        batch = min(cap, k - done)
         bases = haar_unitaries_batch(dim, batch, rng)
-        amps = np.einsum("bxm,x->bm", bases.conj(), psi)
-        probs = np.abs(amps) ** 2
+        # |<b_m|psi>|^2, without a conjugated copy of the stack
+        probs = np.abs(np.einsum("bxm,x->bm", bases, psi.conj())) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
         u = rng.random((batch, 1))
         outcome = (np.cumsum(probs, axis=1) < u).sum(axis=1)
@@ -316,7 +325,9 @@ def tomography_estimate(
         basis_sum += np.einsum("bi,bj->ij", chosen, chosen.conj())
         done += batch
 
-    rho_hat = hermitianize((dim + 1) * basis_sum / k - np.eye(dim))
+    # exactly Hermitian: einsum forms entries (i, j) and (j, i) from
+    # conjugate products summed in the same order
+    rho_hat = (dim + 1) * basis_sum / k - np.eye(dim)
     vals, vecs = np.linalg.eigh(rho_hat)
     top = vecs[:, -1]
     return PurificationVector(c.d_i, c.d_o, r, math.sqrt(c.d_i) * top)

@@ -495,6 +495,18 @@ class TestFixturesCommand:
         assert run_cli(["fixtures", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: fixture 'short'")
 
+    def test_malformed_matrix_exit_2(self, tmp_path, capsys):
+        # a nested matrix without its side used to end in a KeyError
+        # traceback, exit 1
+        bad = tmp_path / "bad.json"
+        one = {"side": 1, "re_im": [[1.0, 0.0]]}
+        rec = {"name": "sideless", "op": "fidelity",
+               "input": {"rho": {"re_im": one["re_im"]}, "sigma": one},
+               "expected": 1.0, "tol": 1e-12, "provenance": "trivial"}
+        bad.write_text(json.dumps([rec]))
+        assert run_cli(["fixtures", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: fixture 'sideless'")
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,34 @@ class TestStreamContract:
         z = stream.generator().standard_normal((1, d, d, 2))
         want = ensembles._qr_haar_batch((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
         assert np.array_equal(ensembles.sample_haar_unitary(d, stream), want[0])
+
+    def test_haar_batch_holds_two_stacks(self):
+        # the kernel drops G once its work array exists and returns a view
+        # of that array: 2 stacks at the peak, where G, the work array and a
+        # contiguous copy made 3.25
+        rng = RandomStream(20245, 14).generator()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ensembles.haar_unitaries_batch(4, 2048, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.1 * 2048 * 4 * 4 * 16
+        # the lone draws copy the view to a C-contiguous matrix, same bits
+        for draw, args, (rows, cols) in (
+            (ensembles.sample_haar_isometry, (2, 6), (6, 2)),
+            (ensembles.sample_haar_unitary, (4,), (4, 4)),
+        ):
+            stream = RandomStream(20245, 15)
+            one = ensembles._qr_haar_batch(ensembles.sample_ginibre(rows, cols, stream)[None])
+            got = draw(*args, stream)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, one[0])
 
 
 class TestQRHaarBatch:

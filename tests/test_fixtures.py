@@ -33,8 +33,18 @@ class TestSchemaEnforcement:
         ([_record(tol="0.1")], "fixture 'x'"),
         ([_record(), 1.0], "record 1"),
         ({"a": _record()}, "list of records"),
+        ([_record(op="fidelity", input={"rho": {"re_im": [[1.0, 0.0]]},
+                                        "sigma": {"side": 1, "re_im": [[1.0, 0.0]]}},
+                  expected=1.0)], "fixture 'x'.*'side'"),
+        ([_record(op="kraus_roundtrip_dev",
+                  input={"choi": {"d_i": 1, "re_im": [[1.0, 0.0]] * 4}}, expected=0.0)],
+         "fixture 'x'.*'d_o'"),
+        ([_record(expected="x")], "fixture 'x'"),
+        ([_record(expected=[1.6, 1.6])], "fixture 'x'"),
     ], ids=["missing-input-key", "unexpected-input-key", "input-not-object",
-            "tol-not-number", "record-not-object", "file-not-list"])
+            "tol-not-number", "record-not-object", "file-not-list",
+            "matrix-missing-side", "choi-missing-field", "expected-not-number",
+            "expected-wrong-shape"])
     def test_malformed_file_names_the_record(self, tmp_path, records, match):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(records))

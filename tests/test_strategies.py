@@ -1,10 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from purifylab import ensembles, linalg, metrics, theory
+from purifylab import ensembles, linalg, metrics, strategies, theory
 from purifylab.channels import (
     depolarizing_choi,
     embed_env,
@@ -227,6 +228,63 @@ class TestTomographyEstimate:
         )
         assert stats.kstest(x, stats.beta(2, dim - 1).cdf).pvalue > 0.01
         assert abs(x.mean() - 2 / (dim + 1)) < 4 * x.std() / np.sqrt(n)
+
+    @staticmethod
+    def batch_counts(monkeypatch, draw=ensembles.haar_unitaries_batch):
+        """Record the count of every basis stack tomography asks for."""
+        counts = []
+
+        def counted(d, count, rng):
+            counts.append(count)
+            return draw(d, count, rng)
+
+        monkeypatch.setattr(strategies, "haar_unitaries_batch", counted)
+        return counts
+
+    def test_shot_batches_bounded_by_bytes(self, monkeypatch):
+        # D = 16 bases take 4 KiB each: a 64 KiB budget holds 16 of them
+        spec = EnsembleSpec(2, 2, 4, seed=49)
+        c, _ = sampled(spec)
+        monkeypatch.setattr(strategies, "_TOMO_BYTES", 64 << 10)
+        counts = self.batch_counts(monkeypatch)
+        est = tomography_estimate(c, 100, RandomStream(49, 0).generator())
+        assert est.vector.size == 16
+        assert counts == [16] * 6 + [4]
+        assert np.vdot(est.vector, est.vector).real == pytest.approx(spec.d_i, abs=1e-10)
+
+    @pytest.mark.parametrize("shape, k, want", [
+        ((2, 4, 4), 4097, [2048, 2048, 1]),  # D = 32: the 2048-shot schedule
+        ((2, 4, 8), 1025, [512, 512, 1]),  # D = 64: 32 MiB holds 512 bases
+    ])
+    def test_default_batch_schedule(self, monkeypatch, shape, k, want):
+        # only the schedule is under test, so the stacks are identities
+        spec = EnsembleSpec(*shape, seed=50)
+        c, _ = sampled(spec)
+
+        def identities(d, count, rng):
+            return np.broadcast_to(np.eye(d, dtype=complex), (count, d, d))
+
+        counts = self.batch_counts(monkeypatch, identities)
+        tomography_estimate(c, k, RandomStream(50, 0))
+        assert counts == want
+
+    def test_traced_peak_bounded(self):
+        # (2,4,6) has D = 48: one 1024-shot batch with its conjugated copy
+        # peaked at 108.8 MiB; 910-shot batches of one stack each stay below
+        spec = EnsembleSpec(2, 4, 6, seed=1)
+        c, _ = sampled(spec)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tomography_estimate(c, 1024, RandomStream(2, 0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 80 << 20
 
     def test_determinism(self):
         spec = EnsembleSpec(1, 2, 2, seed=45)
