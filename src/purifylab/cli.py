@@ -81,6 +81,14 @@ def positive_int(text) -> int:
     return val
 
 
+def sample_count(text) -> int:
+    """``--n``: an integer >= 2, the fewest samples a standard error needs."""
+    val = int(text)
+    if val < 2:
+        raise argparse.ArgumentTypeError(f"at least 2 samples, got {val}")
+    return val
+
+
 class EnvDims(str):
     """The ``--de`` text as given, for the header; ``dims`` lists the
     environment dimensions it names."""
@@ -177,7 +185,7 @@ def _add_common(p: _Subcommand, *, n=None, plot=True, de_type=env_dim,
     p.add_argument("--config", type=str, default=None, help="key=value defaults file")
     # only where the command reads them, so the others reject them
     if n is not None:
-        p.add_argument("--n", type=int, default=n,
+        p.add_argument("--n", type=sample_count, default=n,
                        help="Monte Carlo samples (default %(default)s)")
     if plot:
         p.add_argument("--plot", action="store_true", help="also write an SVG chart")

@@ -12,13 +12,19 @@ fallback that cannot descend; a grid search on U(2) is an independent oracle.
 Reduction contract: per-sample values depend only on (seed, sample index)
 and are combined in fixed index order, so every reported mean is identical
 for any worker count.
+
+``ProcessPoolExecutor`` is a module attribute resolved on first use
+(``__getattr__``), so importing this module loads no process-pool machinery
+(``multiprocessing``, ``socket``, ``subprocess``) until a caller reads the
+name or ``_chunk_map`` opens its first pool.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ProcessPoolExecutor
+import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -98,6 +104,18 @@ _RESTARTS = 20
 _MAX_ITERS = 500
 _REL_TOL = 1e-9
 _INITIAL_STEP = 1.0
+
+
+def __getattr__(name: str):
+    """Import ``concurrent.futures.ProcessPoolExecutor`` when the name is
+    first read, and bind it here, so it can be replaced and subclassed like
+    any module attribute."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def closed_form_tolerance(stderr) -> float:
@@ -358,17 +376,28 @@ def _hold_heap() -> bool:
 def _chunk_map(fn, n: int, workers: int):
     """Yield ``fn(lo, hi)`` for consecutive chunks of [0, n), in index order.
 
-    With more than one worker and more than one chunk the calls run in one
-    process pool, whose workers hold their heap (``_hold_heap``) under any
-    start method; results still arrive in index order, so any reduction over
-    them is identical for every worker count.
+    ``workers`` must be an integer >= 1 (NumPy integers included), or
+    ``InvalidDims`` is raised before any chunk is drawn.  With more than one
+    worker and more than one chunk the calls run in one process pool of the
+    class bound to ``ProcessPoolExecutor`` here, read when the pool opens, so
+    the first pool of a process also imports the pool machinery.  Its
+    workers hold their heap (``_hold_heap``) under any start method; results
+    still arrive in index order, so any reduction over them is identical for
+    every worker count.
     """
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise InvalidDims(f"workers must be an integer, got {workers!r}") from None
+    if workers < 1:
+        raise InvalidDims(f"workers must be >= 1, got {workers}")
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     if workers <= 1 or len(bounds) == 1:
         for lo, hi in bounds:
             yield fn(lo, hi)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_hold_heap) as pool:
+    pool_type = sys.modules[__name__].ProcessPoolExecutor
+    with pool_type(max_workers=workers, initializer=_hold_heap) as pool:
         yield from pool.map(fn, *zip(*bounds))
 
 

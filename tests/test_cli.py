@@ -433,8 +433,17 @@ class TestOneParser:
         (["sweep", "--n", "3", "--strategies", "dep"], "de", "0"),
         (["sweep", "--n", "3", "--de", "1"], "strategies", ","),
         (["validate", "--n", "3"], "check", "purty"),
+        (["validate", "--check", "purity"], "n", "1"),
+        (["validate", "--check", "second-moment"], "n", "1"),
+        (["validate"], "n", "0"),
+        (["sweep", "--de", "1", "--strategies", "dep"], "n", "1"),
+        (["sweep", "--de", "1", "--strategies", "dep"], "n", "-4"),
+        (["tomo-scaling", "--k", "8,32,128"], "n", "1"),
+        (["tomo-scaling", "--k", "8,32,128"], "n", "0"),
     ], ids=["bins-below-10", "draws-0", "k-letter", "k-span", "k-below-1", "de-range-off-sweep",
-            "de-letter", "de-0", "strategies-empty", "check-choice"])
+            "de-letter", "de-0", "strategies-empty", "check-choice", "n-1-validate",
+            "n-1-second-moment", "n-0-validate", "n-1-sweep", "n-negative-sweep",
+            "n-1-tomo-scaling", "n-0-tomo-scaling"])
     def test_bad_value_names_its_flag(self, tmp_path, capsys, argv, flag, value):
         # the same value exits 2 from the flag and from a config line, and the
         # message names the flag; neither run writes its output file

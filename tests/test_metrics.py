@@ -599,3 +599,72 @@ class TestHeapPolicy:
                          "--check", "dep-constant", "--out", str(tmp_path / "v.csv")])
         assert code == 0
         assert calls == [1]
+
+
+# A fresh interpreter that imports the package and builds the CLI parser, as
+# every run does, then rejects a bad worker count, then opens one pool.
+_POOL_IMPORT_PROBE = """
+import sys
+from functools import partial
+
+import purifylab
+from purifylab import cli, metrics
+from purifylab.ensembles import PURPOSE_SAMPLE, EnsembleSpec
+from purifylab.errors import InvalidDims
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process", "socket", "subprocess")
+cli.build_parser()
+spec = EnsembleSpec(2, 2, 2, seed=114)
+fn = partial(metrics._moment_chunk, spec, "purity", PURPOSE_SAMPLE)
+try:
+    list(metrics._chunk_map(fn, 1024, 0))
+    sys.exit("workers=0 accepted")
+except InvalidDims:
+    pass
+print(",".join(m for m in POOL_MODULES if m in sys.modules) or "-")
+print(hasattr(metrics, "ProcessPoolExecutor"))
+assert len(list(metrics._chunk_map(fn, 1024, 2))) == 2
+import concurrent.futures
+print(metrics.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
+"""
+
+
+class TestChunkMapPool:
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", None])
+    def test_bad_worker_count_rejected_before_drawing(self, workers):
+        calls = []
+        with pytest.raises(InvalidDims, match="workers"):
+            list(metrics_module._chunk_map(lambda lo, hi: calls.append(lo), 1024, workers))
+        assert calls == []
+        spec = EnsembleSpec(2, 2, 2, seed=112)
+        with pytest.raises(InvalidDims, match="workers"):
+            estimate_average_error(parse_strategy("avg-ue", spec), spec, 1100,
+                                   workers=workers)
+
+    def test_numpy_worker_counts_accepted(self, monkeypatch):
+        opened = []
+
+        class CountingPool(metrics_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "ProcessPoolExecutor", CountingPool)
+        spec = EnsembleSpec(2, 2, 2, seed=113)
+        fn = partial(metrics_module._moment_chunk, spec, "purity", PURPOSE_SAMPLE)
+        serial = np.concatenate(list(metrics_module._chunk_map(fn, 1024, np.int64(1))))
+        pooled = np.concatenate(list(metrics_module._chunk_map(fn, 1024, np.int32(2))))
+        assert opened == [2]
+        assert np.array_equal(serial, pooled)
+
+    def test_import_loads_no_pool_machinery(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _POOL_IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["-", "True", "True"]
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            metrics_module.no_such_name
