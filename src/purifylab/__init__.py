@@ -34,11 +34,11 @@ from .metrics import (
     error_pure_output,
     estimate_average_error,
     estimate_moments,
-    make_strategy,
     orbit_bruteforce,
+    parse_strategy,
     second_moment_closed_form,
     second_moment_operator,
 )
-from .strategies import Strategy, parse_strategy, tomography_estimate
+from .strategies import Strategy, tomography_estimate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,8 +38,12 @@ from .ensembles import EnsembleSpec, mp_atom, mp_cdf, mp_density, mp_support
 from .errors import PurifyLabError
 from .fixtures import run_fixtures
 from .linalg import floor_eigenvalues
-from .metrics import estimate_average_error, estimate_moments, second_moment_closed_form
-from .strategies import parse_strategy
+from .metrics import (
+    estimate_average_error,
+    estimate_moments,
+    parse_strategy,
+    second_moment_closed_form,
+)
 from . import svgplot
 
 DEFAULT_STRATEGIES = "pure:omega,append:optimal,dep,avg-ue"
@@ -56,9 +60,18 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_table(out, comments: dict, header: list[str], rows: list[list], fmt: str):
-    """Emit a report as CSV (with # comment prologue) or JSON."""
-    if fmt == "json":
+def _write_table(args, header: list[str], rows: list[list], extra: dict | None = None,
+                 chart: tuple[str, dict, dict] | None = None):
+    """Emit a report to ``--out`` (default stdout) as CSV, with a ``#``
+    comment prologue, or as JSON: the command, the version, the run settings
+    the command has, then ``extra``.  Under ``--plot``, ``chart`` = (default
+    name, series, labels) is also drawn to ``<--out or default name>.svg``."""
+    comments = {"command": args.command, "version": __version__}
+    for key in ("di", "do", "de", "n", "seed", "workers"):
+        if hasattr(args, key):
+            comments[key] = getattr(args, key)
+    comments.update(extra or {})
+    if args.format == "json":
         payload = {"config": comments, "rows": [dict(zip(header, row)) for row in rows]}
         text = json.dumps(payload, indent=2, default=str) + "\n"
     else:
@@ -66,11 +79,14 @@ def _write_table(out, comments: dict, header: list[str], rows: list[list], fmt: 
         lines.append(",".join(header))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if chart is not None and args.plot:
+        name, series, labels = chart
+        svgplot.line_chart(series, (args.out or name) + ".svg", **labels)
 
 
 def positive_int(text) -> int:
@@ -139,10 +155,14 @@ def bin_count(text) -> int:
 
 
 def strategy_list(text) -> list[str]:
-    """``--strategies``: a non-empty comma list of strategy strings."""
-    names = [s for s in text.split(",") if s]
+    """``--strategies``: a non-empty comma list of distinct strategy strings,
+    each stripped of surrounding spaces."""
+    names = [s.strip() for s in text.split(",") if s]
     if not names:
         raise argparse.ArgumentTypeError("needs a non-empty strategy list")
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"strategy {', '.join(repeated)} named twice")
     return names
 
 
@@ -227,16 +247,6 @@ def _with_defaults(parser: argparse.ArgumentParser, args, argv):
     return parser.parse_args(argv)
 
 
-def _comments(args, extra: dict | None = None) -> dict:
-    base = {"command": args.command, "version": __version__}
-    for key in ("di", "do", "de", "n", "seed", "workers"):
-        if hasattr(args, key):
-            base[key] = getattr(args, key)
-    if extra:
-        base.update(extra)
-    return base
-
-
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -288,7 +298,7 @@ def cmd_validate(args) -> int:
         all_ok &= ok
         rows.append([name, expect, got, tol, "pass" if ok else "FAIL"])
     header = ["check", "expected", "observed", "tolerance", "status"]
-    _write_table(args.out, _comments(args), header, rows, args.format)
+    _write_table(args, header, rows)
     return 0 if all_ok else 1
 
 
@@ -304,7 +314,7 @@ def cmd_sweep(args) -> int:
     for d_e in args.de.dims:
         spec = EnsembleSpec(args.di, args.do, d_e, seed=args.seed)
         for text in strategies:
-            strat = metrics.make_strategy(text, spec, n_weights=args.n, workers=args.workers)
+            strat = parse_strategy(text, spec, n_weights=args.n, workers=args.workers)
             rep = estimate_average_error(strat, spec, args.n, workers=args.workers)
             rows.append(
                 [d_e, text, rep.mean, rep.stderr, rep.closed_form, args.n, args.seed]
@@ -312,17 +322,10 @@ def cmd_sweep(args) -> int:
             curves[text][0].append(d_e)
             curves[text][1].append(rep.mean)
     header = ["d_E", "strategy", "mean", "stderr", "closed_form", "n", "seed"]
-    _write_table(args.out, _comments(args, {"strategies": ",".join(strategies)}),
-                 header, rows, args.format)
-    if args.plot:
-        target = (args.out or "sweep") + ".svg"
-        svgplot.line_chart(
-            curves,
-            target,
-            title=f"average purification error, d_I={args.di} d_O={args.do}",
-            xlabel="environment dimension",
-            ylabel="mean squared HS distance",
-        )
+    labels = {"title": f"average purification error, d_I={args.di} d_O={args.do}",
+              "xlabel": "environment dimension", "ylabel": "mean squared HS distance"}
+    _write_table(args, header, rows, {"strategies": ",".join(strategies)},
+                 ("sweep", curves, labels))
     return 0
 
 
@@ -378,19 +381,13 @@ def cmd_spectrum(args) -> int:
         for c, k, e, o in zip(centers, counts, empir, overlay)
     ]
     header = ["bin_center", "count", "empirical_density", "mp_density", "atom_weight"]
-    comments = _comments(args, {"draws": draws, "bins": bins,
-                                "c": f"{c_ratio:.12g}", "ks": f"{ks:.6g}"})
-    _write_table(args.out, comments, header, rows, args.format)
-    if args.plot:
-        target = (args.out or "spectrum") + ".svg"
-        svgplot.line_chart(
-            {"empirical": (centers.tolist(), empir.tolist()),
-             "reference": (centers.tolist(), np.asarray(overlay).tolist())},
-            target,
-            title=f"spectral density of d_O C, c={c_ratio:g}",
-            xlabel="eigenvalue of d_O C",
-            ylabel="density",
-        )
+    series = {"empirical": (centers.tolist(), empir.tolist()),
+              "reference": (centers.tolist(), np.asarray(overlay).tolist())}
+    labels = {"title": f"spectral density of d_O C, c={c_ratio:g}",
+              "xlabel": "eigenvalue of d_O C", "ylabel": "density"}
+    _write_table(args, header, rows,
+                 {"draws": draws, "bins": bins, "c": f"{c_ratio:.12g}", "ks": f"{ks:.6g}"},
+                 ("spectrum", series, labels))
     return 0
 
 
@@ -414,18 +411,10 @@ def cmd_tomo_scaling(args) -> int:
     slope = float(np.polyfit(np.log(ks), np.log(means), 1)[0])
     rows.append(["slope", slope, ""])
     header = ["k", "mean", "stderr"]
-    comments = _comments(args, {"k": ",".join(map(str, ks)), "slope": f"{slope:.6g}"})
-    _write_table(args.out, comments, header, rows, args.format)
-    if args.plot:
-        target = (args.out or "tomo") + ".svg"
-        svgplot.line_chart(
-            {"estimation error": (list(map(float, ks)), means)},
-            target,
-            title="estimation-machine error vs copy budget",
-            xlabel="copies k",
-            ylabel="mean error",
-            loglog=True,
-        )
+    labels = {"title": "estimation-machine error vs copy budget",
+              "xlabel": "copies k", "ylabel": "mean error", "loglog": True}
+    _write_table(args, header, rows, {"k": ",".join(map(str, ks)), "slope": f"{slope:.6g}"},
+                 ("tomo", {"estimation error": (list(map(float, ks)), means)}, labels))
     return 0
 
 

@@ -9,6 +9,10 @@ ascent over the environment unitary group covers everything else.  Its
 restarts climb as one stack, by Barzilai-Borwein steps with a polar-gradient
 fallback that cannot descend; a grid search on U(2) is an independent oracle.
 
+``parse_strategy`` is the one constructor of a machine from its strategy
+string; it lives here because ``append:optimal`` is fitted to Monte Carlo
+weights (``estimate_ordered_weights``).
+
 Reduction contract: per-sample values depend only on (seed, sample index)
 and are combined in fixed index order, so every reported mean is identical
 for any worker count.
@@ -31,9 +35,16 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import ChoiOperator, PurificationVector
+from .channels import (
+    ChoiOperator,
+    PurificationVector,
+    identity_isometry_purification,
+    max_entangled_purification,
+    separable_purification,
+)
 from .ensembles import (
     EnsembleSpec,
+    PURPOSE_FIXED,
     PURPOSE_SAMPLE,
     PURPOSE_WEIGHTS,
     RandomStream,
@@ -41,6 +52,7 @@ from .ensembles import (
     _choi_bank,
     _vmat_bank,
     haar_unitaries_batch,
+    sample_choi,
     sample_ginibre,  # noqa: F401  perfbench/tests/check_tracer.py wraps this binding
 )
 from .errors import EnvironmentTooSmall, InvalidDims, TooLarge
@@ -54,10 +66,12 @@ from .linalg import (
 )
 from .strategies import (
     Append,
+    Estimation,
+    MapToDepolarizing,
+    PureOutput,
     Strategy,
     _clip_errors,
-    error_pure_output,
-    parse_strategy,
+    optimal_append_spectrum,
 )
 
 __all__ = [
@@ -71,7 +85,8 @@ __all__ = [
     "estimate_average_error",
     "estimate_moments",
     "estimate_ordered_weights",
-    "make_strategy",
+    "STRATEGY_GRAMMAR",
+    "parse_strategy",
     "second_moment_operator",
     "second_moment_closed_form",
     "channel_pair_moment_closed_form",
@@ -173,6 +188,21 @@ class MomentReport:
 # ---------------------------------------------------------------------------
 # Single-sample error routes (batches of one through the machine classes)
 # ---------------------------------------------------------------------------
+
+
+def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
+    """Exact orbit-minimized error of a fixed pure output against channel c.
+
+    A batch of one through :meth:`~purifylab.strategies.PureOutput.errors`,
+    after ``c.validate()`` and ``w.validate()``.
+    Depends on w only through its marginal; environments of different size
+    need no explicit embedding.
+    """
+    if (c.d_i, c.d_o) != (w.d_i, w.d_o):
+        raise InvalidDims("channel and pure output dims differ")
+    c.validate()
+    w.validate()
+    return float(PureOutput(w).errors(c.d_i, c.matrix[None])[0])
 
 
 def error_append(c: ChoiOperator, rho_e: np.ndarray) -> float:
@@ -285,19 +315,20 @@ def _orbit_inputs(q_out: np.ndarray, v: PurificationVector) -> np.ndarray:
 def error_orbit_numeric(
     q_out: np.ndarray,
     v: PurificationVector,
-    rs: RandomStream | np.random.Generator | None = None,
+    rs: RandomStream | np.random.Generator,
 ) -> OrbitResult:
     """Best-of-restarts Riemannian ascent of the orbit overlap.
 
     Maximizes tr[Q (1 x U) |V><V| (1 x U†)] over environment unitaries from
-    the identity and 19 Haar starts, all climbed as one stack (see
-    ``_ascend``).  The returned error tr(Q^2) + d_i^2 - 2 * best is an upper
+    the identity and 19 Haar starts drawn from ``rs``, all climbed as one
+    stack (see ``_ascend``).  ``rs`` has no default: a fixed one could be the
+    stream the input channel was drawn from.  The returned error tr(Q^2) + d_i^2 - 2 * best is an upper
     bound on the true orbit minimum that matches the exact routes on the
     append and pure-output families; ``converged`` is the best start's.
     Q must be PSD with trace d_i and v a valid purification, so the error
     lies in [0, 2 d_i^2] before its clip.
     """
-    rng = _as_generator(rs if rs is not None else RandomStream(0, 0))
+    rng = _as_generator(rs)
     q = _orbit_inputs(q_out, v)
 
     eye = np.eye(v.d_e, dtype=complex)[None]
@@ -479,14 +510,64 @@ def estimate_ordered_weights(
     return report.values
 
 
-def make_strategy(
+# ---------------------------------------------------------------------------
+# Strategy strings
+# ---------------------------------------------------------------------------
+
+STRATEGY_GRAMMAR = (
+    "pure:omega | pure:separable | pure:random | append:maxmixed | "
+    "append:optimal | append:pure | dep | avg-ue | tomo:k=<int|inf>"
+)
+
+
+def parse_strategy(
     text: str, spec: EnsembleSpec, *, n_weights: int = 2000, workers: int = 1
 ) -> Strategy:
-    """Parse a strategy string, estimating weights for append:optimal."""
-    if text.strip() == "append:optimal":
-        w = estimate_ordered_weights(spec, n_weights, workers=workers)
-        return parse_strategy(text, spec, append_weights=w)
-    return parse_strategy(text, spec)
+    """Build a strategy from its command-line description.
+
+    Grammar: ``pure:omega``, ``pure:separable``, ``pure:random``,
+    ``append:maxmixed``, ``append:optimal``, ``append:pure``, ``dep``,
+    ``avg-ue``, ``tomo:k=<int|inf>``.  ``append:optimal`` fits its spectrum
+    to ordered weights estimated from ``n_weights`` draws of the reserved
+    weight streams (``estimate_ordered_weights`` on ``workers`` workers),
+    padded with zeros to d_e.  ``pure:random`` draws its fixed output once
+    from a reserved substream of the ensemble seed, so repeated parses agree.
+    """
+    text = text.strip()
+    if text == "pure:omega":
+        return PureOutput(max_entangled_purification(spec.d_i, spec.d_o), label=text)
+    if text == "pure:separable":
+        ups = identity_isometry_purification(spec.d_i, spec.d_o)
+        psi = np.zeros(spec.d_e)
+        psi[0] = 1.0
+        return PureOutput(separable_purification(ups, psi), label=text)
+    if text == "pure:random":
+        _, w = sample_choi(spec, spec.stream(0, PURPOSE_FIXED))
+        return PureOutput(w, label=text)
+    if text in ("append:maxmixed", "avg-ue"):
+        return Append(np.full(spec.d_e, 1.0 / spec.d_e), label=text)
+    if text == "append:optimal":
+        fitted = estimate_ordered_weights(spec, n_weights, workers=workers)
+        w = np.zeros(spec.d_e)
+        w[: fitted.size] = fitted
+        return Append(optimal_append_spectrum(w), label=text)
+    if text == "append:pure":
+        lam = np.zeros(spec.d_e)
+        lam[0] = 1.0
+        return Append(lam, label=text)
+    if text == "dep":
+        return MapToDepolarizing(spec.d_e)
+    if text.startswith("tomo:k="):
+        raw = text.split("=", 1)[1]
+        if raw == "inf":
+            return Estimation(None)
+        if not (raw.isdecimal() and int(raw) >= 1):
+            raise InvalidDims(
+                f"tomo copy budget must be an integer >= 1 or inf, got {text!r}; "
+                f"expected one of {STRATEGY_GRAMMAR}"
+            )
+        return Estimation(int(raw))
+    raise InvalidDims(f"unknown strategy {text!r}; expected one of {STRATEGY_GRAMMAR}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,9 @@ from typing import ClassVar, Optional, Protocol
 import numpy as np
 
 from . import theory
-from .channels import (
-    ChoiOperator,
-    PurificationVector,
-    identity_isometry_purification,
-    max_entangled_purification,
-    separable_purification,
-)
+from .channels import ChoiOperator, PurificationVector
 from .ensembles import (
     EnsembleSpec,
-    PURPOSE_FIXED,
     PURPOSE_SAMPLE,
     RandomStream,
     _as_generator,
@@ -52,11 +45,8 @@ __all__ = [
     "MapToDepolarizing",
     "Estimation",
     "Strategy",
-    "STRATEGY_GRAMMAR",
-    "error_pure_output",
     "optimal_append_spectrum",
     "tomography_estimate",
-    "parse_strategy",
 ]
 
 
@@ -91,21 +81,6 @@ class _BankScored:
 
     def chunk_errors(self, spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
         return self.errors(spec.d_i, _choi_bank(spec, lo, hi, PURPOSE_SAMPLE))
-
-
-def error_pure_output(c: ChoiOperator, w: PurificationVector) -> float:
-    """Exact orbit-minimized error of a fixed pure output against channel c.
-
-    A batch of one through :meth:`PureOutput.errors`, after ``c.validate()``
-    and ``w.validate()``.
-    Depends on w only through its marginal; environments of different size
-    need no explicit embedding.
-    """
-    if (c.d_i, c.d_o) != (w.d_i, w.d_o):
-        raise InvalidDims("channel and pure output dims differ")
-    c.validate()
-    w.validate()
-    return float(PureOutput(w).errors(c.d_i, c.matrix[None])[0])
 
 
 @dataclass(frozen=True)
@@ -250,12 +225,6 @@ class Estimation:
         return None
 
 
-STRATEGY_GRAMMAR = (
-    "pure:omega | pure:separable | pure:random | append:maxmixed | "
-    "append:optimal | append:pure | dep | avg-ue | tomo:k=<int|inf>"
-)
-
-
 def optimal_append_spectrum(weights) -> np.ndarray:
     """Error-minimizing spectrum of the appended state: lambda = w / sum(w).
 
@@ -331,60 +300,3 @@ def tomography_estimate(
     vals, vecs = np.linalg.eigh(rho_hat)
     top = vecs[:, -1]
     return PurificationVector(c.d_i, c.d_o, r, math.sqrt(c.d_i) * top)
-
-
-def parse_strategy(
-    text: str,
-    spec: EnsembleSpec,
-    *,
-    append_weights=None,
-) -> Strategy:
-    """Build a strategy from its command-line description.
-
-    Grammar: ``pure:omega``, ``pure:separable``, ``pure:random``,
-    ``append:maxmixed``, ``append:optimal``, ``append:pure``, ``dep``,
-    ``avg-ue``, ``tomo:k=<int|inf>``.  ``append:optimal`` needs externally
-    estimated ordered weights (see metrics.estimate_ordered_weights).
-    ``pure:random`` draws its fixed output once from a reserved substream
-    of the ensemble seed, so repeated parses agree.
-    """
-    text = text.strip()
-    if text == "pure:omega":
-        return PureOutput(max_entangled_purification(spec.d_i, spec.d_o), label=text)
-    if text == "pure:separable":
-        ups = identity_isometry_purification(spec.d_i, spec.d_o)
-        psi = np.zeros(spec.d_e)
-        psi[0] = 1.0
-        return PureOutput(separable_purification(ups, psi), label=text)
-    if text == "pure:random":
-        _, w = sample_choi(spec, spec.stream(0, PURPOSE_FIXED))
-        return PureOutput(w, label=text)
-    if text in ("append:maxmixed", "avg-ue"):
-        return Append(np.full(spec.d_e, 1.0 / spec.d_e), label=text)
-    if text == "append:optimal":
-        if append_weights is None:
-            raise InvalidWeights(
-                "append:optimal needs estimated ordered weights; see "
-                "metrics.make_strategy"
-            )
-        w = np.zeros(spec.d_e)
-        got = np.asarray(append_weights, dtype=float)
-        w[: got.size] = got[: spec.d_e]
-        return Append(optimal_append_spectrum(w), label=text)
-    if text == "append:pure":
-        lam = np.zeros(spec.d_e)
-        lam[0] = 1.0
-        return Append(lam, label=text)
-    if text == "dep":
-        return MapToDepolarizing(spec.d_e)
-    if text.startswith("tomo:k="):
-        raw = text.split("=", 1)[1]
-        if raw == "inf":
-            return Estimation(None)
-        if not (raw.isdecimal() and int(raw) >= 1):
-            raise InvalidDims(
-                f"tomo copy budget must be an integer >= 1 or inf, got {text!r}; "
-                f"expected one of {STRATEGY_GRAMMAR}"
-            )
-        return Estimation(int(raw))
-    raise InvalidDims(f"unknown strategy {text!r}; expected one of {STRATEGY_GRAMMAR}")

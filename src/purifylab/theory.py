@@ -91,8 +91,7 @@ def eps_app_bounds(d_i: int, d_o: int, d_e: int) -> tuple[float, float]:
     d_i^2 - avg_purity <= eps_app <= d_i^2 - avg_purity / d_e; the upper
     bound is attained by the maximally mixed environment state.
     """
-    p = avg_purity(d_i, d_o, d_e)
-    return d_i**2 - p, d_i**2 - p / d_e
+    return d_i**2 - avg_purity(d_i, d_o, d_e), eps_avg_ue(d_i, d_o, d_e)
 
 
 def eps_app_pure_ancilla(d_i: int, d_o: int, d_e: int, moment_cmax_sq: float) -> float:
@@ -130,9 +129,9 @@ def table2_regime_values(d_i: int, d_o: int) -> dict:
     The pure-output value at the balanced point needs a Monte Carlo moment
     and is reported as None.
     """
-    e_bal = avg_purity(d_i, d_o, d_i * d_o)
+    bal = d_i * d_o
     return {
-        "balanced_purity": e_bal,
+        "balanced_purity": avg_purity(d_i, d_o, bal),
         "pure": {
             "d_e=1": eps_separable_pure_output(d_i, d_o),
             "d_e=d_i*d_o": None,  # requires the E[(tr sqrt C)^2] moment
@@ -140,17 +139,17 @@ def table2_regime_values(d_i: int, d_o: int) -> dict:
         },
         "append": {
             "d_e=1": 0.0,
-            "d_e=d_i*d_o": (d_i**2 - e_bal, d_i**2 - e_bal / (d_i * d_o)),
+            "d_e=d_i*d_o": eps_app_bounds(d_i, d_o, bal),
             "d_e=inf": d_i**2 - 1.0 / d_o**2,
         },
         "dep": {
-            "d_e=1": d_i**2 - d_i / d_o,
-            "d_e=d_i*d_o": d_i**2 - 1.0 / d_o**2,
+            "d_e=1": eps_dep(d_i, d_o, 1),
+            "d_e=d_i*d_o": eps_dep(d_i, d_o, bal),
             "d_e=inf": float(d_i**2),
         },
         "avg_ue": {
-            "d_e=1": 0.0,
-            "d_e=d_i*d_o": d_i**2 - e_bal / (d_i * d_o),
+            "d_e=1": eps_avg_ue(d_i, d_o, 1),
+            "d_e=d_i*d_o": eps_avg_ue(d_i, d_o, bal),
             "d_e=inf": float(d_i**2),
         },
     }

@@ -26,10 +26,11 @@ from purifylab.metrics import (
     estimate_average_error,
     estimate_moments,
     orbit_bruteforce,
+    parse_strategy,
     second_moment_closed_form,
     second_moment_operator,
 )
-from purifylab.strategies import PureOutput, parse_strategy
+from purifylab.strategies import PureOutput
 
 
 def record(num: int, name: str, ok: bool) -> None:
@@ -105,7 +106,7 @@ def test_05_strategy_hierarchy_balanced_environment():
     n = 5000
     means, errs = {}, {}
     for text in ("pure:omega", "append:optimal", "avg-ue", "dep"):
-        strat = metrics.make_strategy(text, spec, n_weights=n)
+        strat = metrics.parse_strategy(text, spec, n_weights=n)
         rep = estimate_average_error(strat, spec, n)
         means[text], errs[text] = rep.mean, rep.stderr
     chain = ("pure:omega", "append:optimal", "avg-ue", "dep")

@@ -16,7 +16,7 @@ from purifylab.channels import (
     separable_purification,
 )
 from purifylab.cli import main
-from purifylab.ensembles import EnsembleSpec, sample_choi
+from purifylab.ensembles import EnsembleSpec, RandomStream, sample_choi
 from purifylab.errors import (
     EnvironmentTooSmall,
     InvalidDims,
@@ -30,9 +30,10 @@ from purifylab.metrics import (
     ErrorReport,
     error_append,
     error_orbit_numeric,
+    error_pure_output,
     orbit_bruteforce,
 )
-from purifylab.strategies import Append, error_pure_output
+from purifylab.strategies import Append
 
 # multiples of a rule's tolerance: just inside, just outside
 INSIDE, OUTSIDE = 0.5, 2.0
@@ -89,12 +90,17 @@ class TestChoiValidate:
         check(f, NotTracePreserving, ChoiOperator(2, 2, m).validate)
 
 
+def orbit_numeric(q, v):
+    """``error_orbit_numeric`` with a restart stream no channel here is drawn from."""
+    return error_orbit_numeric(q, v, RandomStream(97, 0))
+
+
 class TestOrbitInput:
     @SIDES
     def test_hermiticity(self, f):
         q = skewed(np.diag([1.0, 0.0]), f * linalg.HERM_TOL)
         v = identity_isometry_purification(1, 2)
-        check(f, NotHermitian, lambda: error_orbit_numeric(q, v))
+        check(f, NotHermitian, lambda: orbit_numeric(q, v))
 
     @SIDES
     def test_negativity(self, f):
@@ -102,14 +108,14 @@ class TestOrbitInput:
         delta = f * linalg.PSD_TOL
         q = np.diag([1.0 + delta, -delta])
         v = identity_isometry_purification(1, 2)
-        check(f, NotPSD, lambda: error_orbit_numeric(q, v))
+        check(f, NotPSD, lambda: orbit_numeric(q, v))
 
     @SIDES
     def test_trace(self, f):
         # Q = 5 |v><v| used to score the 2 d_i^2 clip
         v = identity_isometry_purification(1, 2)
         q = (1.0 + f * linalg.NORM_TOL) * v.projector()
-        check(f, NotNormalized, lambda: error_orbit_numeric(q, v))
+        check(f, NotNormalized, lambda: orbit_numeric(q, v))
 
     @SIDES
     def test_purification_norm(self, f):
@@ -118,7 +124,7 @@ class TestOrbitInput:
         scaled = channels.PurificationVector(
             1, 2, 1, np.sqrt(1.0 + f * linalg.NORM_TOL) * v.vector
         )
-        check(f, NotNormalized, lambda: error_orbit_numeric(v.projector(), scaled))
+        check(f, NotNormalized, lambda: orbit_numeric(v.projector(), scaled))
 
     def test_bruteforce_resolution(self):
         # used to stop in numpy's reshape of an empty grid
@@ -126,7 +132,9 @@ class TestOrbitInput:
         with pytest.raises(InvalidDims):
             orbit_bruteforce(v.projector(), v, resolution=0)
 
-    @pytest.mark.parametrize("route", [error_orbit_numeric, orbit_bruteforce])
+    @pytest.mark.parametrize(
+        "route", [pytest.param(orbit_numeric, id="error_orbit_numeric"), orbit_bruteforce]
+    )
     @pytest.mark.parametrize("bad, exc", [
         ("shape", InvalidDims), ("negative", NotPSD), ("nan", NotHermitian),
         ("norm", NotNormalized),
@@ -286,7 +294,7 @@ class TestNaNFailsEveryRule:
         # used to pass the input check and stop in numpy's SVD
         v = max_entangled_purification(1, 2)
         with pytest.raises(NotHermitian):
-            error_orbit_numeric(np.diag([NAN, 0.0, 0.0, 1.0]), v)
+            orbit_numeric(np.diag([NAN, 0.0, 0.0, 1.0]), v)
 
 
 class TestRelativeRules:
@@ -310,9 +318,7 @@ NON_HERMITIAN_SITES = {
     "fidelity-sigma": lambda m: linalg.fidelity(np.eye(2) / 2, m),
     "ChoiOperator.validate": lambda m: ChoiOperator(1, 2, m).validate(),
     "ChoiOperator.rank": lambda m: ChoiOperator(1, 2, m).rank(),
-    "error_orbit_numeric": lambda m: error_orbit_numeric(
-        m, identity_isometry_purification(1, 2)
-    ),
+    "error_orbit_numeric": lambda m: orbit_numeric(m, identity_isometry_purification(1, 2)),
     "error_append": lambda m: error_append(sampled_choi(), m),
 }
 

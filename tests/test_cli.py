@@ -7,7 +7,7 @@ import pytest
 
 from purifylab.cli import _mp_ks_distance, main
 from purifylab.ensembles import mp_cdf, mp_support
-from purifylab.strategies import STRATEGY_GRAMMAR
+from purifylab.metrics import STRATEGY_GRAMMAR
 
 
 def run_cli(args):
@@ -149,6 +149,30 @@ class TestSweep:
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert f"'tomo:k={budget}'" in err and STRATEGY_GRAMMAR in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_strategy_names_stripped(self, tmp_path, source):
+        # the column and the header name the machines that ran
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--de", "1", "--n", "3", "--out", str(out)]
+        if source == "flag":
+            argv += ["--strategies", " dep , avg-ue"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("strategies=dep, avg-ue\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(argv) == 0
+        assert "# strategies=dep,avg-ue" in out.read_text().splitlines()
+        assert [ln.split(",")[1] for ln in body_lines(out)[1:]] == ["dep", "avg-ue"]
+
+    def test_repeated_strategy_named(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--de", "1", "--n", "3", "--strategies", "avg-ue,dep, avg-ue ",
+                "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert "strategy avg-ue named twice" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -432,6 +456,7 @@ class TestOneParser:
         (["sweep", "--n", "3", "--strategies", "dep"], "de", "1..x"),
         (["sweep", "--n", "3", "--strategies", "dep"], "de", "0"),
         (["sweep", "--n", "3", "--de", "1"], "strategies", ","),
+        (["sweep", "--n", "3", "--de", "1"], "strategies", "dep,dep"),
         (["validate", "--n", "3"], "check", "purty"),
         (["validate", "--check", "purity"], "n", "1"),
         (["validate", "--check", "second-moment"], "n", "1"),
@@ -441,7 +466,8 @@ class TestOneParser:
         (["tomo-scaling", "--k", "8,32,128"], "n", "1"),
         (["tomo-scaling", "--k", "8,32,128"], "n", "0"),
     ], ids=["bins-below-10", "draws-0", "k-letter", "k-span", "k-below-1", "de-range-off-sweep",
-            "de-letter", "de-0", "strategies-empty", "check-choice", "n-1-validate",
+            "de-letter", "de-0", "strategies-empty", "strategies-repeated",
+            "check-choice", "n-1-validate",
             "n-1-second-moment", "n-0-validate", "n-1-sweep", "n-negative-sweep",
             "n-1-tomo-scaling", "n-0-tomo-scaling"])
     def test_bad_value_names_its_flag(self, tmp_path, capsys, argv, flag, value):

@@ -32,18 +32,13 @@ from purifylab.metrics import (
     estimate_average_error,
     estimate_moments,
     estimate_ordered_weights,
-    make_strategy,
     orbit_bruteforce,
+    parse_strategy,
     second_moment_closed_form,
     second_moment_operator,
     channel_pair_moment_closed_form,
 )
-from purifylab.strategies import (
-    Append,
-    Estimation,
-    MapToDepolarizing,
-    parse_strategy,
-)
+from purifylab.strategies import Append, Estimation, MapToDepolarizing
 
 
 ALL_STRATEGY_TEXTS = [
@@ -123,7 +118,7 @@ class TestSingleSampleRoutes:
         # error_append sums rows by matrix-vector product, the chunk by
         # matrix-matrix product, so the last bits may differ
         spec = EnsembleSpec(*dims, seed=34)
-        strat = make_strategy(text, spec, n_weights=500)
+        strat = parse_strategy(text, spec, n_weights=500)
         rows = strat.chunk_errors(spec, 0, 100)
         single = [error_append(sampled(spec, i)[0], np.diag(strat.spectrum))
                   for i in range(0, 100, 2)]
@@ -169,6 +164,13 @@ class TestConstantRoutes:
 
 
 class TestOrbitNumeric:
+    def test_restart_stream_is_required(self):
+        # a default stream would be spec.stream(0) at seed 0: the restarts
+        # would reuse the normals of the channel they score
+        _, v = sampled(EnsembleSpec(2, 2, 2, seed=0))
+        with pytest.raises(TypeError):
+            error_orbit_numeric(v.projector(), v)
+
     def test_self_purification(self):
         spec = EnsembleSpec(2, 2, 2, seed=71)
         _, v = sampled(spec)
@@ -324,7 +326,7 @@ class TestEstimateAverageError:
     def test_worker_count_invariance(self, text):
         # n = 1200 spans three 512-sample chunks, so the pool path runs.
         spec = EnsembleSpec(2, 2, 2, seed=86)
-        strat = make_strategy(text, spec, n_weights=1200)
+        strat = parse_strategy(text, spec, n_weights=1200)
         a = estimate_average_error(strat, spec, 1200, workers=1).per_sample
         b = estimate_average_error(strat, spec, 1200, workers=4).per_sample
         assert np.array_equal(a, b)
@@ -385,9 +387,9 @@ class TestMoments:
         assert w.shape == (4,)
         assert np.all(np.diff(w) <= 0)
 
-    def test_make_strategy_append_optimal(self):
+    def test_parse_strategy_append_optimal(self):
         spec = EnsembleSpec(2, 2, 2, seed=96)
-        s = make_strategy("append:optimal", spec, n_weights=2000)
+        s = parse_strategy("append:optimal", spec, n_weights=2000)
         lam = s.spectrum
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(lam) <= 0)

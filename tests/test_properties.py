@@ -24,7 +24,7 @@ from purifylab.metrics import (
     _polar_unitary,
     error_pure_output,
     estimate_average_error,
-    make_strategy,
+    parse_strategy,
     second_moment_operator,
 )
 from purifylab.strategies import PureOutput
@@ -58,7 +58,7 @@ def specs(draw):
 def test_per_sample_error_in_range(spec, text):
     # pure:separable embeds the input isometrically, so it needs d_o >= d_i.
     assume(text != "pure:separable" or spec.d_o >= spec.d_i)
-    strat = make_strategy(text, spec, n_weights=20)
+    strat = parse_strategy(text, spec, n_weights=20)
     per = estimate_average_error(strat, spec, 20).per_sample
     assert per.shape == (20,)
     assert np.all((per >= 0.0) & (per <= 2 * spec.d_i**2))
@@ -69,8 +69,8 @@ def test_per_sample_error_in_range(spec, text):
 def test_avg_ue_equals_append_maxmixed(spec):
     # C x 1/d_e commutes with every environment unitary, so the orbit
     # minimum of the append machine is the environment average.
-    avg = estimate_average_error(make_strategy("avg-ue", spec), spec, 20).per_sample
-    app = estimate_average_error(make_strategy("append:maxmixed", spec), spec, 20).per_sample
+    avg = estimate_average_error(parse_strategy("avg-ue", spec), spec, 20).per_sample
+    app = estimate_average_error(parse_strategy("append:maxmixed", spec), spec, 20).per_sample
     assert np.array_equal(avg, app)
 
 

@@ -16,14 +16,13 @@ from purifylab.channels import (
 )
 from purifylab.ensembles import EnsembleSpec, RandomStream
 from purifylab.errors import InvalidDims, InvalidWeights
+from purifylab.metrics import STRATEGY_GRAMMAR, parse_strategy
 from purifylab.strategies import (
-    STRATEGY_GRAMMAR,
     Append,
     Estimation,
     MapToDepolarizing,
     PureOutput,
     optimal_append_spectrum,
-    parse_strategy,
     tomography_estimate,
 )
 
@@ -121,6 +120,9 @@ class TestOptimalAppendSpectrum:
     def test_uniform(self):
         lam = optimal_append_spectrum([0.5, 0.5, 0.5, 0.5])
         assert_allclose(lam, [0.25] * 4)
+
+    def test_two_weights(self):
+        assert_allclose(optimal_append_spectrum([1.8, 0.6]), [0.75, 0.25])
 
     def test_monte_carlo_weights(self):
         from purifylab import metrics, theory
@@ -327,24 +329,19 @@ class TestParse:
         with pytest.raises(InvalidDims, match=re.escape(STRATEGY_GRAMMAR)):
             parse_strategy(text, EnsembleSpec(2, 2, 2, seed=54))
 
-    def test_append_optimal_needs_weights(self):
-        spec = EnsembleSpec(2, 2, 2, seed=55)
-        with pytest.raises(InvalidWeights):
-            parse_strategy("append:optimal", spec)
-        s = parse_strategy("append:optimal", spec, append_weights=[1.8, 0.6])
-        assert isinstance(s, Append)
-        assert_allclose(s.spectrum, [0.75, 0.25])
-
     def test_append_optimal_goes_through_optimal_spectrum(self):
-        spec = EnsembleSpec(2, 2, 3, seed=55)
-        w = metrics.estimate_ordered_weights(spec, 300)
-        s = parse_strategy("append:optimal", spec, append_weights=w)
-        assert np.array_equal(s.spectrum, w / w.sum())
-        s = parse_strategy("append:optimal", spec, append_weights=[1.8, 0.6])
-        padded = np.array([1.8, 0.6, 0.0])
-        assert np.array_equal(s.spectrum, padded / padded.sum())
-        with pytest.raises(InvalidWeights):
-            parse_strategy("append:optimal", spec, append_weights=[0.2, 0.8])
+        # d_E <= d_I d_O fits every weight; d_E > d_I d_O pads with zeros
+        for dims, size in (((2, 2, 3), 3), ((1, 2, 3), 2)):
+            spec = EnsembleSpec(*dims, seed=55)
+            w = metrics.estimate_ordered_weights(spec, 300)
+            assert w.size == size
+            s = parse_strategy("append:optimal", spec, n_weights=300)
+            padded = np.zeros(spec.d_e)
+            padded[:size] = w
+            expect = Append(optimal_append_spectrum(padded), label="append:optimal")
+            assert isinstance(s, Append) and s.label == expect.label
+            assert np.array_equal(s.spectrum, expect.spectrum)
+            assert np.array_equal(s.spectrum, padded / padded.sum())
 
     def test_unknown_rejected(self):
         spec = EnsembleSpec(2, 2, 2, seed=56)
@@ -434,7 +431,7 @@ class TestFlatAppendRoute:
 
     def test_optimal_at_trivial_environment_is_flat(self):
         spec = EnsembleSpec(2, 2, 1, seed=65)
-        s = metrics.make_strategy("append:optimal", spec, n_weights=100)
+        s = parse_strategy("append:optimal", spec, n_weights=100)
         assert np.array_equal(s.spectrum, [1.0])
         chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
         oracle = pairing_oracle(s.spectrum, spec.d_i, chois)
@@ -460,7 +457,7 @@ class TestOutputScoresAsChunkErrors:
     @pytest.mark.parametrize("text", SCORED_TEXTS)
     def test_output_error_is_chunk_error(self, dims, text):
         spec = EnsembleSpec(*dims, seed=63)
-        s = metrics.make_strategy(text, spec, n_weights=200)
+        s = parse_strategy(text, spec, n_weights=200)
         for i in range(3):
             c, v = sampled(spec, i)
             q = s.output(c)
@@ -468,5 +465,5 @@ class TestOutputScoresAsChunkErrors:
             d_e = max(v.d_e, q.shape[0] // (spec.d_i * spec.d_o))
             if isinstance(s, PureOutput):
                 q = embed_env(s.w, d_e).projector()
-            got = metrics.error_orbit_numeric(q, embed_env(v, d_e)).error
+            got = metrics.error_orbit_numeric(q, embed_env(v, d_e), RandomStream(630, i)).error
             assert abs(got - s.chunk_errors(spec, i, i + 1)[0]) <= 1e-6

@@ -183,9 +183,33 @@ class TestTable2:
         assert t["pure"]["d_e=d_i*d_o"] is None
         assert t["pure"]["d_e=inf"] == 0.0
         assert t["dep"]["d_e=inf"] == 4.0
+
         lo, hi = t["append"]["d_e=d_i*d_o"]
         assert lo == pytest.approx(4 - 12 / 7)
         assert hi == pytest.approx(4 - (12 / 7) / 4)
+
+    def test_closed_forms_stated_once(self):
+        # the table and the upper append bound call the closed forms; each
+        # entry equals both the function and the written-out expression
+        for d_i in range(1, 6):
+            for d_o in range(2, 6):
+                for d_e in range(1, 30):
+                    p = theory.avg_purity(d_i, d_o, d_e)
+                    hi = theory.eps_app_bounds(d_i, d_o, d_e)[1]
+                    assert hi == theory.eps_avg_ue(d_i, d_o, d_e) == d_i**2 - p / d_e
+                t = theory.table2_regime_values(d_i, d_o)
+                bal = d_i * d_o
+                e_bal = theory.avg_purity(d_i, d_o, bal)
+                assert t["balanced_purity"] == e_bal
+                assert t["pure"]["d_e=1"] == theory.eps_separable_pure_output(d_i, d_o)
+                assert t["append"]["d_e=d_i*d_o"] == theory.eps_app_bounds(d_i, d_o, bal)
+                assert t["append"]["d_e=d_i*d_o"] == (d_i**2 - e_bal, d_i**2 - e_bal / bal)
+                assert t["dep"]["d_e=1"] == theory.eps_dep(d_i, d_o, 1) == d_i**2 - d_i / d_o
+                assert (t["dep"]["d_e=d_i*d_o"] == theory.eps_dep(d_i, d_o, bal)
+                        == d_i**2 - 1.0 / d_o**2)
+                assert t["avg_ue"]["d_e=1"] == theory.eps_avg_ue(d_i, d_o, 1) == 0.0
+                assert (t["avg_ue"]["d_e=d_i*d_o"] == theory.eps_avg_ue(d_i, d_o, bal)
+                        == d_i**2 - e_bal / bal)
 
 
 class TestSqrtMomentAsymptote:
