@@ -156,8 +156,12 @@ def bin_count(text) -> int:
 
 def strategy_list(text) -> list[str]:
     """``--strategies``: a non-empty comma list of distinct strategy strings,
-    each stripped of surrounding spaces."""
-    names = [s.strip() for s in text.split(",") if s]
+    each stripped of surrounding spaces and read by ``metrics.check_strategy``,
+    so a bad name exits before any machine is built."""
+    try:
+        names = [metrics.check_strategy(s) for s in text.split(",") if s]
+    except PurifyLabError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not names:
         raise argparse.ArgumentTypeError("needs a non-empty strategy list")
     repeated = sorted({s for s in names if names.count(s) > 1})

@@ -86,6 +86,7 @@ __all__ = [
     "estimate_moments",
     "estimate_ordered_weights",
     "STRATEGY_GRAMMAR",
+    "check_strategy",
     "parse_strategy",
     "second_moment_operator",
     "second_moment_closed_form",
@@ -432,6 +433,18 @@ def _chunk_map(fn, n: int, workers: int):
         yield from pool.map(fn, *zip(*bounds))
 
 
+def _reduce(chunk_fn, n: int, workers: int):
+    """The rows ``chunk_fn`` returns for [0, n) in index order, their mean
+    over axis 0 and its standard error sqrt(var / n), read as exactly 0 where
+    the variance is below ``ZERO_VARIANCE`` (constant up to rounding)."""
+    if n < 2:
+        raise InvalidDims("Monte Carlo estimation needs n >= 2")
+    rows = np.concatenate(list(_chunk_map(chunk_fn, n, workers)))
+    var = np.var(rows, axis=0, ddof=1)
+    stderr = np.where(var < ZERO_VARIANCE, 0.0, np.sqrt(var / n))
+    return rows, rows.mean(axis=0), stderr
+
+
 def estimate_average_error(
     strategy: Strategy, spec: EnsembleSpec, n: int, *, workers: int = 1
 ) -> ErrorReport:
@@ -440,20 +453,10 @@ def estimate_average_error(
     Each sample uses the substream keyed by its index, so the report's
     per-sample errors are identical for any worker count.  The closed-form
     field is filled whenever the strategy admits a moment-free exact value.
-    Sample variance below 1e-20 is reported as stderr exactly zero
-    (genuinely constant strategies).
+    A constant strategy reports stderr exactly zero (``_reduce``).
     """
-    if n < 2:
-        raise InvalidDims("Monte Carlo estimation needs n >= 2")
-    chunks = _chunk_map(partial(strategy.chunk_errors, spec), n, workers)
-    per = np.concatenate(list(chunks))
-    var = float(np.var(per, ddof=1))
-    return ErrorReport(
-        mean=float(np.mean(per)),
-        stderr=0.0 if var < ZERO_VARIANCE else math.sqrt(var / n),
-        closed_form=strategy.closed_form(spec),
-        per_sample=per,
-    )
+    per, mean, stderr = _reduce(partial(strategy.chunk_errors, spec), n, workers)
+    return ErrorReport(float(mean), float(stderr), strategy.closed_form(spec), per)
 
 
 _MOMENT_NAMES = ("purity", "sqrt_trace_sq", "ordered_eig_sq", "cmax_sq")
@@ -489,14 +492,9 @@ def estimate_moments(
     ((tr sqrt C)^2), ``ordered_eig_sq`` (vector of descending-eigenvalue
     second moments, length min(d_e, d_i d_o)), or ``cmax_sq``.
     """
-    if n < 2:
-        raise InvalidDims("moment estimation needs n >= 2")
     if which not in _MOMENT_NAMES:
         raise InvalidDims(f"unknown moment {which!r}; expected one of {_MOMENT_NAMES}")
-    chunks = _chunk_map(partial(_moment_chunk, spec, which, purpose), n, workers)
-    samples = np.concatenate(list(chunks), axis=0)
-    values = samples.mean(axis=0)
-    stderr = samples.std(axis=0, ddof=1) / math.sqrt(n)
+    _, values, stderr = _reduce(partial(_moment_chunk, spec, which, purpose), n, workers)
     return MomentReport(values, stderr)
 
 
@@ -514,60 +512,61 @@ def estimate_ordered_weights(
 # Strategy strings
 # ---------------------------------------------------------------------------
 
-STRATEGY_GRAMMAR = (
-    "pure:omega | pure:separable | pure:random | append:maxmixed | "
-    "append:optimal | append:pure | dep | avg-ue | tomo:k=<int|inf>"
-)
+_STRATEGY_NAMES = ("pure:omega", "pure:separable", "pure:random", "append:maxmixed",
+                   "append:optimal", "append:pure", "dep", "avg-ue")
+STRATEGY_GRAMMAR = " | ".join(_STRATEGY_NAMES + ("tomo:k=<int|inf>",))
+
+
+def check_strategy(text: str) -> str:
+    """``text`` stripped of surrounding spaces, once it is a strategy string
+    of ``STRATEGY_GRAMMAR`` (``InvalidDims`` otherwise).  It builds and draws
+    nothing, so a list can be checked whole before its first machine."""
+    text = text.strip()
+    if text.startswith("tomo:k="):
+        raw = text.split("=", 1)[1]
+        if raw != "inf" and not (raw.isdecimal() and int(raw) >= 1):
+            raise InvalidDims(f"tomo copy budget must be an integer >= 1 or inf, got "
+                              f"{text!r}; expected one of {STRATEGY_GRAMMAR}")
+    elif text not in _STRATEGY_NAMES:
+        raise InvalidDims(f"unknown strategy {text!r}; expected one of {STRATEGY_GRAMMAR}")
+    return text
 
 
 def parse_strategy(
     text: str, spec: EnsembleSpec, *, n_weights: int = 2000, workers: int = 1
 ) -> Strategy:
-    """Build a strategy from its command-line description.
+    """Build a strategy from its command-line description, once
+    ``check_strategy`` has read it against ``STRATEGY_GRAMMAR``.
 
-    Grammar: ``pure:omega``, ``pure:separable``, ``pure:random``,
-    ``append:maxmixed``, ``append:optimal``, ``append:pure``, ``dep``,
-    ``avg-ue``, ``tomo:k=<int|inf>``.  ``append:optimal`` fits its spectrum
-    to ordered weights estimated from ``n_weights`` draws of the reserved
-    weight streams (``estimate_ordered_weights`` on ``workers`` workers),
-    padded with zeros to d_e.  ``pure:random`` draws its fixed output once
-    from a reserved substream of the ensemble seed, so repeated parses agree.
+    ``append:maxmixed`` and ``avg-ue`` are one machine.  ``append:optimal``
+    fits its spectrum to ordered weights estimated from ``n_weights`` draws
+    of the reserved weight streams (``estimate_ordered_weights`` on
+    ``workers`` workers), padded with zeros to d_e.  ``pure:random`` draws
+    its fixed output once from a reserved substream of the ensemble seed, so
+    repeated parses agree.
     """
-    text = text.strip()
+    text = check_strategy(text)
     if text == "pure:omega":
-        return PureOutput(max_entangled_purification(spec.d_i, spec.d_o), label=text)
+        return PureOutput(max_entangled_purification(spec.d_i, spec.d_o))
     if text == "pure:separable":
         ups = identity_isometry_purification(spec.d_i, spec.d_o)
-        psi = np.zeros(spec.d_e)
-        psi[0] = 1.0
-        return PureOutput(separable_purification(ups, psi), label=text)
+        return PureOutput(separable_purification(ups, np.eye(spec.d_e)[0]))
     if text == "pure:random":
         _, w = sample_choi(spec, spec.stream(0, PURPOSE_FIXED))
-        return PureOutput(w, label=text)
+        return PureOutput(w)
     if text in ("append:maxmixed", "avg-ue"):
-        return Append(np.full(spec.d_e, 1.0 / spec.d_e), label=text)
+        return Append(np.full(spec.d_e, 1.0 / spec.d_e))
     if text == "append:optimal":
         fitted = estimate_ordered_weights(spec, n_weights, workers=workers)
         w = np.zeros(spec.d_e)
         w[: fitted.size] = fitted
-        return Append(optimal_append_spectrum(w), label=text)
+        return Append(optimal_append_spectrum(w))
     if text == "append:pure":
-        lam = np.zeros(spec.d_e)
-        lam[0] = 1.0
-        return Append(lam, label=text)
+        return Append(np.eye(spec.d_e)[0])
     if text == "dep":
         return MapToDepolarizing(spec.d_e)
-    if text.startswith("tomo:k="):
-        raw = text.split("=", 1)[1]
-        if raw == "inf":
-            return Estimation(None)
-        if not (raw.isdecimal() and int(raw) >= 1):
-            raise InvalidDims(
-                f"tomo copy budget must be an integer >= 1 or inf, got {text!r}; "
-                f"expected one of {STRATEGY_GRAMMAR}"
-            )
-        return Estimation(int(raw))
-    raise InvalidDims(f"unknown strategy {text!r}; expected one of {STRATEGY_GRAMMAR}")
+    raw = text.split("=", 1)[1]  # tomo:k=<int|inf>
+    return Estimation(None if raw == "inf" else int(raw))
 
 
 # ---------------------------------------------------------------------------

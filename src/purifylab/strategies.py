@@ -2,8 +2,8 @@
 
 Each machine class carries everything the package knows about it: its
 output Q(C) on the A x B x E space (a PSD operator of trace d_i), its exact
-per-sample error over a range of sample indices, its moment-free closed
-form where one exists, and its label.  The four families:
+per-sample error over a range of sample indices, and its moment-free closed
+form where one exists.  The four families:
 
 * ``PureOutput``        - ignore the input, emit a fixed pure Choi operator;
 * ``Append``            - leave the input unchanged, append an environment
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .ensembles import (
 )
 from .errors import InvalidDims, InvalidWeights
 from .linalg import _purities, _require_norm, _require_psd
-from .linalg import psd_factor, uhlmann_overlap
+from .linalg import floor_eigenvalues, psd_factor, uhlmann_overlap
 
 __all__ = [
     "PureOutput",
@@ -52,8 +52,6 @@ __all__ = [
 
 class Strategy(Protocol):
     """What every purification machine provides."""
-
-    label: str
 
     def output(
         self, c: ChoiOperator, rs: RandomStream | np.random.Generator | None = None
@@ -93,7 +91,6 @@ class PureOutput(_BankScored):
     """
 
     w: PurificationVector
-    label: str = "pure"
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -138,7 +135,6 @@ class Append(_BankScored):
     """
 
     spectrum: np.ndarray
-    label: str = "append"
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.spectrum, dtype=float)
@@ -149,16 +145,20 @@ class Append(_BankScored):
         # contiguous, so a copy sent to a pool worker multiplies alike
         object.__setattr__(self, "spectrum", np.ascontiguousarray(np.sort(lam)[::-1]))
 
+    def __eq__(self, other) -> bool:
+        # one machine per spectrum; the generated __eq__ would ask an array for a bool
+        return isinstance(other, Append) and np.array_equal(self.spectrum, other.spectrum)
+
     def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
         return np.kron(c.matrix, np.diag(self.spectrum).astype(complex))
 
     def errors(self, d_i: int, chois: np.ndarray) -> np.ndarray:
-        """Exact errors against a stack of Choi matrices; no spectrum of C
-        for a flat one (Frobenius purity kernel)."""
+        """Exact errors against a stack of Choi matrices, on the floored
+        spectrum of C; none for a flat one (Frobenius purity kernel)."""
         lam = self.spectrum
         if lam[0] == lam[-1]:
             return _clip_errors(d_i**2 - _purities(chois) / lam.size, d_i)
-        cvals = np.linalg.eigvalsh(chois)[:, ::-1]  # descending
+        cvals = floor_eigenvalues(np.linalg.eigvalsh(chois))[:, ::-1]  # descending
         k = min(cvals.shape[1], lam.size)
         purity = np.sum(cvals**2, axis=1)
         pair = (cvals[:, :k] ** 2) @ lam[:k]
@@ -177,7 +177,6 @@ class MapToDepolarizing:
     """Emit the flat operator d_i / (d_i d_o d_e), whatever the input."""
 
     d_e: int
-    label: ClassVar[str] = "dep"
 
     def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
         side = c.d_i * c.d_o * self.d_e
@@ -199,10 +198,6 @@ class Estimation:
     """
 
     k: Optional[int]
-
-    @property
-    def label(self) -> str:
-        return f"tomo:k={self.k if self.k is not None else 'inf'}"
 
     def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
         if rs is None:

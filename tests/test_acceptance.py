@@ -85,7 +85,7 @@ def test_04_pure_output_ordering():
     worst_low, worst_high = np.inf, np.inf
     for j in range(50):
         _, w = sample_choi(spec, spec.stream(j, PURPOSE_FIXED))
-        rep = estimate_average_error(PureOutput(w, label=f"pure:rand{j}"), spec, n)
+        rep = estimate_average_error(PureOutput(w), spec, n)
         lo_slack = rep.mean - omega.mean + 3 * math.hypot(rep.stderr, omega.stderr)
         hi_slack = sep.mean - rep.mean + 3 * math.hypot(rep.stderr, sep.stderr)
         worst_low = min(worst_low, lo_slack)

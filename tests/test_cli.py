@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from purifylab import metrics, strategies
 from purifylab.cli import _mp_ks_distance, main
 from purifylab.ensembles import mp_cdf, mp_support
 from purifylab.metrics import STRATEGY_GRAMMAR
@@ -57,6 +58,17 @@ class TestValidate:
         data = json.loads(out.read_text())
         assert data["config"]["command"] == "validate"
         assert all(row["status"] == "pass" for row in data["rows"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_constant_purity_tolerance_is_the_slack(self, tmp_path, fmt):
+        # d_E = 1: tr C^2 is constant, so the tolerance is CLOSED_FORM_SLACK alone
+        out = tmp_path / "purity.out"
+        assert run_cli(["validate", "--de", "1", "--n", "3000", "--check", "purity",
+                        "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "json":
+            assert json.loads(out.read_text())["rows"][0]["tolerance"] == 1e-12
+        else:
+            assert body_lines(out)[1] == "purity,4,4,1e-12,pass"
 
     def test_usage_error_exit_2(self):
         assert run_cli(["validate", "--de", "zebra"]) == 2
@@ -166,6 +178,30 @@ class TestSweep:
         assert run_cli(argv) == 0
         assert "# strategies=dep,avg-ue" in out.read_text().splitlines()
         assert [ln.split(",")[1] for ln in body_lines(out)[1:]] == ["dep", "avg-ue"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("names", ["append:optimal,banana", "pure:omega,tomo:k=0",
+                                       "tomo:k=4096, tomo:k=x"])
+    def test_bad_name_exits_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                            source, names):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew or fitted before checking every strategy")
+
+        for module, name in ((metrics, "estimate_ordered_weights"),
+                             (strategies, "_choi_bank"), (strategies, "sample_choi")):
+            monkeypatch.setattr(module, name, no_draw)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--de", "1..25", "--n", "20000", "--out", str(out)]
+        if source == "flag":
+            argv += ["--strategies", names]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"strategies={names}\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "argument --strategies:" in err and STRATEGY_GRAMMAR in err
+        assert not out.exists()
 
     def test_repeated_strategy_named(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -348,6 +348,12 @@ class TestEstimateAverageError:
 
 
 class TestMoments:
+    def test_constant_purity_has_zero_stderr(self):
+        # every isometry has tr C^2 = d_i^2: the spread is rounding, read as 0
+        rep = estimate_moments(EnsembleSpec(2, 2, 1), 3000, "purity")
+        assert rep.stderr[0] == 0.0
+        assert rep.value == pytest.approx(4.0, abs=1e-12)
+
     def test_purity_vs_closed_form(self):
         spec = EnsembleSpec(2, 2, 4, seed=91)
         rep = estimate_moments(spec, 20_000, "purity")

@@ -42,8 +42,9 @@ def uhlmann_oracle(w, d_i, chois):
 
 
 def pairing_oracle(lam, d_i, chois):
-    """The former Append.errors for every spectrum: the descending pairing."""
-    cvals = np.linalg.eigvalsh(chois)[:, ::-1]
+    """Append.errors for every spectrum: the descending pairing on floored
+    eigenvalues."""
+    cvals = linalg.floor_eigenvalues(np.linalg.eigvalsh(chois))[:, ::-1]
     k = min(cvals.shape[1], lam.size)
     purity = np.sum(cvals**2, axis=1)
     pair = (cvals[:, :k] ** 2) @ lam[:k]
@@ -338,9 +339,7 @@ class TestParse:
             s = parse_strategy("append:optimal", spec, n_weights=300)
             padded = np.zeros(spec.d_e)
             padded[:size] = w
-            expect = Append(optimal_append_spectrum(padded), label="append:optimal")
-            assert isinstance(s, Append) and s.label == expect.label
-            assert np.array_equal(s.spectrum, expect.spectrum)
+            assert s == Append(optimal_append_spectrum(padded))
             assert np.array_equal(s.spectrum, padded / padded.sum())
 
     def test_unknown_rejected(self):
@@ -348,11 +347,15 @@ class TestParse:
         with pytest.raises(InvalidDims):
             parse_strategy("banana", spec)
 
-    def test_labels(self):
-        spec = EnsembleSpec(2, 2, 2, seed=57)
-        for text in ALL_TEXTS:
-            s = parse_strategy(text, spec)
-            assert s.label == text
+    @pytest.mark.parametrize("d_e", [1, 3])
+    def test_avg_ue_is_append_maxmixed(self, d_e):
+        spec = EnsembleSpec(2, 2, d_e, seed=57)
+        assert parse_strategy("avg-ue", spec) == parse_strategy("append:maxmixed", spec)
+
+    def test_append_machines_differ_by_spectrum(self):
+        spec = EnsembleSpec(2, 2, 3, seed=57)
+        assert parse_strategy("append:pure", spec) != parse_strategy("avg-ue", spec)
+        assert parse_strategy("avg-ue", spec) != MapToDepolarizing(3)
 
 
 class TestPureClosedForm:
@@ -360,7 +363,6 @@ class TestPureClosedForm:
         spec = EnsembleSpec(2, 3, 4, seed=58)
         ups = identity_isometry_purification(2, 3)
         s = PureOutput(separable_purification(ups, np.eye(4)[1]))
-        assert s.label == "pure"
         assert s.closed_form(spec) == theory.eps_separable_pure_output(2, 3)
 
     @pytest.mark.parametrize("text", ["pure:omega", "pure:random"])
@@ -423,7 +425,7 @@ class TestFlatAppendRoute:
         spec = EnsembleSpec(*dims, seed=64)
         chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
         s = parse_strategy(text, spec)
-        assert isinstance(s, Append) and s.label == text
+        assert isinstance(s, Append)
         assert s.closed_form(spec) == theory.eps_avg_ue(*dims)
         got = s.errors(spec.d_i, chois)
         oracle = pairing_oracle(s.spectrum, spec.d_i, chois)
@@ -436,6 +438,19 @@ class TestFlatAppendRoute:
         chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
         oracle = pairing_oracle(s.spectrum, spec.d_i, chois)
         assert np.max(np.abs(s.errors(spec.d_i, chois) - oracle)) <= 1e-12
+
+
+class TestAppendFloorsSpectrum:
+    """Append.errors pairs the spectrum of C after ``floor_eigenvalues``, so
+    the zero eigenvalues of a rank-deficient C (d_E < d_I d_O) are exact."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (1, 2, 1)], ids=str)
+    def test_pairs_floored_eigenvalues(self, dims):
+        spec = EnsembleSpec(*dims, seed=20245)
+        chois = ensembles._choi_bank(spec, 0, 512, ensembles.PURPOSE_SAMPLE)
+        s = Append(np.array([0.75, 0.25]))
+        oracle = pairing_oracle(s.spectrum, spec.d_i, chois)
+        assert np.array_equal(s.errors(spec.d_i, chois), oracle)
 
 
 SCORED_TEXTS = [
