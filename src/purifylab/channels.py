@@ -12,7 +12,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,14 @@ def _from_re_im(pairs) -> np.ndarray:  # the flat complex vector back
     return np.array([complex(re, im) for re, im in pairs])
 
 
+def _value_eq(a, b) -> bool:
+    """Value equality of records that hold arrays: same class, every field
+    ``np.array_equal``; the generated ``__eq__`` would ask an array for a bool."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+    )
+
+
 @dataclass(frozen=True)
 class ChoiOperator:
     """Unnormalized Choi matrix of a channel, acting on H_I x H_O."""
@@ -66,6 +74,8 @@ class ChoiOperator:
                 f"({self.d_i}, {self.d_o})"
             )
         object.__setattr__(self, "matrix", m)
+
+    __eq__ = _value_eq
 
     def validate(self) -> "ChoiOperator":
         """Check Hermiticity, positivity, trace d_i, and trace preservation."""
@@ -111,6 +121,8 @@ class PurificationVector:
                 f"({self.d_i}, {self.d_o}, {self.d_e})"
             )
         object.__setattr__(self, "vector", v)
+
+    __eq__ = _value_eq  # so a PureOutput compares through its w
 
     def validate(self) -> "PurificationVector":
         _require_norm(np.vdot(self.vector, self.vector).real, self.d_i, "squared norm")

@@ -89,20 +89,18 @@ def _write_table(args, header: list[str], rows: list[list], extra: dict | None =
         svgplot.line_chart(series, (args.out or name) + ".svg", **labels)
 
 
-def positive_int(text) -> int:
-    """An integer >= 1 (``ValueError`` otherwise): ``--workers``, ``--draws``."""
-    val = int(text)
-    if val < 1:
-        raise ValueError(f"{val} is below 1")
-    return val
+def at_least(floor: int):
+    """The flag type of an integer >= ``floor``: 1 for ``--workers`` and
+    ``--draws``, 2 for ``--n`` (the fewest samples a standard error needs)
+    and 10 for ``--bins``."""
 
+    def integer(text) -> int:
+        val = int(text)
+        if val < floor:
+            raise argparse.ArgumentTypeError(f"{val} is below {floor}")
+        return val
 
-def sample_count(text) -> int:
-    """``--n``: an integer >= 2, the fewest samples a standard error needs."""
-    val = int(text)
-    if val < 2:
-        raise argparse.ArgumentTypeError(f"at least 2 samples, got {val}")
-    return val
+    return integer
 
 
 class EnvDims(str):
@@ -144,14 +142,6 @@ def copy_budgets(text) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"need >= 3 copy budgets, each >= 1, spanning 16x, not {text!r}")
     return ks
-
-
-def bin_count(text) -> int:
-    """``--bins``: an integer >= 10."""
-    val = int(text)
-    if val < 10:
-        raise argparse.ArgumentTypeError(f"at least 10 bins, got {val}")
-    return val
 
 
 def strategy_list(text) -> list[str]:
@@ -203,13 +193,13 @@ def _add_common(p: _Subcommand, *, n=None, plot=True, de_type=env_dim,
     p.add_argument("--do", type=int, default=2, help="output dimension")
     p.add_argument("--de", type=de_type, default="1", help=de_help)
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p.add_argument("--workers", type=positive_int, default=1, help="parallel workers")
+    p.add_argument("--workers", type=at_least(1), default=1, help="parallel workers")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--config", type=str, default=None, help="key=value defaults file")
     # only where the command reads them, so the others reject them
     if n is not None:
-        p.add_argument("--n", type=sample_count, default=n,
+        p.add_argument("--n", type=at_least(2), default=n,
                        help="Monte Carlo samples (default %(default)s)")
     if plot:
         p.add_argument("--plot", action="store_true", help="also write an SVG chart")
@@ -459,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalue histogram vs MP reference")
     _add_common(p)
-    p.add_argument("--draws", type=positive_int, default=200,
+    p.add_argument("--draws", type=at_least(1), default=200,
                    help="channel draws (default %(default)s)")
-    p.add_argument("--bins", type=bin_count, default=40,
+    p.add_argument("--bins", type=at_least(10), default=40,
                    help="histogram bins, at least 10 (default %(default)s)")
     p.set_defaults(func=cmd_spectrum)
 

@@ -7,7 +7,9 @@ and positive, which is Haar on the Stiefel manifold.  One kernel builds it,
 classical Gram-Schmidt run twice across the whole stack, isometric to
 rounding.  A normalized-Wishart route to the same Choi distribution is
 provided as an independent cross-check, together with the Marchenko-Pastur
-reference density that governs the spectra at large dimension.
+reference density that governs the spectra at large dimension.  Every
+Ginibre draw, for the bank, a Haar stack or the Wishart route, goes through
+one function, :func:`sample_ginibre`.
 
 All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
@@ -177,22 +179,6 @@ def _as_generator(rs: RandomStream | np.random.Generator) -> np.random.Generator
     return rs.generator()
 
 
-def _complex_normals(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill the complex128 C-contiguous array ``out`` with Ginibre entries.
-
-    The standard normals go straight into ``out``'s real view, each
-    consecutive (Re, Im) pair one entry, in the order of
-    ``rng.standard_normal((*out.shape, 2))``, and are scaled there by
-    1/sqrt(2).  numpy divides a complex by the real sqrt(2) as one multiply
-    by that reciprocal, so the entries are bit-identical to
-    ``(z[..., 0] + 1j * z[..., 1]) / sqrt(2)``.
-    """
-    x = out.view(float)
-    rng.standard_normal(out=x)
-    x *= _SQRT_HALF
-    return out
-
-
 def sample_ginibre(
     rows: int,
     cols: int,
@@ -201,11 +187,20 @@ def sample_ginibre(
 ) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. entries with Re, Im ~ N(0, 1/2).
 
-    With ``out`` (a C-contiguous complex128 array of shape (rows, cols)) the
-    draw is written there and ``out`` is returned; the bits are those of the
-    allocating call.  A :class:`RandomStream` is drawn from by re-keying this
-    thread's scratch generator, built on the thread's first keyed draw; a
-    ``Generator`` is drawn from as it is.
+    The one Ginibre entry point: every channel isometry, Haar unitary and
+    Wishart factor is drawn here.  With ``out`` (a C-contiguous complex128
+    array of shape (rows, cols)) the draw is written there and ``out`` is
+    returned; the bits are those of the allocating call.  A
+    :class:`RandomStream` is drawn from by re-keying this thread's scratch
+    generator, built on the thread's first keyed draw; a ``Generator`` is
+    drawn from as it is.
+
+    The standard normals go straight into the result's real view, each
+    consecutive (Re, Im) pair one entry, in the order of
+    ``rng.standard_normal((rows, cols, 2))``, and are scaled there by
+    1/sqrt(2).  numpy divides a complex by the real sqrt(2) as one multiply
+    by that reciprocal, so the entries are bit-identical to
+    ``(z[..., 0] + 1j * z[..., 1]) / sqrt(2)``.
     """
     if rows < 1 or cols < 1:
         raise InvalidDims("Ginibre dimensions must be >= 1")
@@ -225,7 +220,10 @@ def sample_ginibre(
         rs = rs.generator(into=scratch)
         if scratch is None:
             _SCRATCH.rng = rs
-    return _complex_normals(out, rs)
+    x = out.view(float)
+    rs.standard_normal(out=x)
+    x *= _SQRT_HALF
+    return out
 
 
 def sample_haar_isometry(
@@ -307,13 +305,15 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` independent Haar unitaries, drawn in one pass.
+    """Stack of ``count`` >= 1 independent Haar unitaries, drawn in one pass.
 
-    The kernel's (batch, row, column) view, not C-contiguous; the draw
-    peaks at about two stacks of ``count`` * 16 d^2 bytes.  Tomography asks
-    for at most 2048 unitaries and 32 MiB of them at a time.
+    One ``count * d`` by ``d`` Ginibre draw, read as ``count`` stacked
+    matrices: the same memory filled in the same order.  The kernel's
+    (batch, row, column) view, not C-contiguous; the draw peaks at about two
+    stacks of ``count`` * 16 d^2 bytes.  Tomography asks for at most 2048
+    unitaries and 32 MiB of them at a time.
     """
-    return _qr_haar_batch(_complex_normals(np.empty((count, d, d), dtype=complex), rng))
+    return _qr_haar_batch(sample_ginibre(count * d, d, rng).reshape(count, d, d))
 
 
 def _vmat_bank(spec: EnsembleSpec, lo: int, hi: int, purpose: int) -> np.ndarray:

@@ -590,8 +590,10 @@ def _symmetric_pairs(side: int) -> tuple[np.ndarray, np.ndarray]:
 def _second_moment_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     """Sum of (v x v)(v x v)† over draws [lo, hi), on the kept Sym^2 columns.
 
-    Only the blocks on and above the diagonal are summed, in column blocks
-    of width side; the blocks below it are left zero, for
+    Only the blocks on and above the diagonal are summed: one einsum per row
+    block of height side, over the columns from its diagonal block on, each
+    entry the same sum in the same draw order as a block-by-block einsum.
+    The blocks below the diagonal are left zero, for
     ``second_moment_operator`` to mirror.
     """
     vm = _vmat_bank(spec, lo, hi, PURPOSE_SAMPLE)
@@ -605,13 +607,7 @@ def _second_moment_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     m = pairs.shape[1]
     part = np.zeros((m, m), dtype=complex)
     for a in range(0, m, side):
-        for b in range(a, m, side):
-            np.einsum(
-                "bi,bj->ij",
-                pairs[:, a : a + side],
-                conj[:, b : b + side],
-                out=part[a : a + side, b : b + side],
-            )
+        np.einsum("bi,bj->ij", pairs[:, a : a + side], conj[:, a:], out=part[a : a + side, a:])
     return part
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from . import theory
-from .channels import ChoiOperator, PurificationVector
+from .channels import ChoiOperator, PurificationVector, _value_eq
 from .ensembles import (
     EnsembleSpec,
     PURPOSE_SAMPLE,
@@ -145,9 +145,7 @@ class Append(_BankScored):
         # contiguous, so a copy sent to a pool worker multiplies alike
         object.__setattr__(self, "spectrum", np.ascontiguousarray(np.sort(lam)[::-1]))
 
-    def __eq__(self, other) -> bool:
-        # one machine per spectrum; the generated __eq__ would ask an array for a bool
-        return isinstance(other, Append) and np.array_equal(self.spectrum, other.spectrum)
+    __eq__ = _value_eq  # one machine per spectrum
 
     def output(self, c: ChoiOperator, rs=None) -> np.ndarray:
         return np.kron(c.matrix, np.diag(self.spectrum).astype(complex))

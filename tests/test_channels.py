@@ -287,3 +287,28 @@ class TestEmbedAndJson:
             ChoiOperator(2, 2, np.eye(3))
         with pytest.raises(InvalidDims):
             PurificationVector(2, 2, 2, np.zeros(5))
+
+
+class TestValueEquality:
+    # the generated dataclass __eq__ asked the array for a bool and raised
+    def test_equal_values_compare_equal(self):
+        assert ChoiOperator(1, 2, np.eye(2)) == ChoiOperator(1, 2, np.eye(2))
+        c, v = sampled(2, 2, 3, seed=18)
+        assert ChoiOperator.from_json_dict(c.to_json_dict()) == c
+        assert PurificationVector.from_json_dict(v.to_json_dict()) == v
+        assert PureOutput(v) == PureOutput(PurificationVector(2, 2, 3, v.vector.copy()))
+
+    def test_values_tell_records_apart(self):
+        c, v = sampled(2, 2, 3, seed=18)
+        other_c, other_v = sampled(2, 2, 3, seed=19)
+        assert c != other_c and v != other_v and PureOutput(v) != PureOutput(other_v)
+        assert c != c.matrix and v != v.vector
+
+    def test_dims_tell_records_apart(self):
+        # the same entries under other dims are another record
+        assert ChoiOperator(1, 4, np.eye(4)) != ChoiOperator(2, 2, np.eye(4))
+        vec = np.full(4, 0.5)
+        assert PurificationVector(1, 2, 2, vec) != PurificationVector(1, 4, 1, vec)
+        assert PureOutput(PurificationVector(1, 2, 2, vec)) != PureOutput(
+            PurificationVector(1, 4, 1, vec)
+        )

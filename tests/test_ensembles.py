@@ -353,6 +353,29 @@ class TestStreamContract:
         got = ensembles.haar_unitaries_batch(d, count, stream.generator())
         assert np.array_equal(got, want)
 
+    def test_haar_batch_is_one_ginibre_draw(self, monkeypatch):
+        # every Ginibre draw goes through sample_ginibre, the stack as one
+        # call with the caller's generator
+        calls = []
+        ginibre = ensembles.sample_ginibre
+
+        def counted_ginibre(rows, cols, rs, *args, **kwargs):
+            calls.append((rows, cols, rs))
+            return ginibre(rows, cols, rs, *args, **kwargs)
+
+        rng = RandomStream(20245, 12).generator()
+        want = ensembles.haar_unitaries_batch(4, 64, RandomStream(20245, 12).generator())
+        monkeypatch.setattr(ensembles, "sample_ginibre", counted_ginibre)
+        got = ensembles.haar_unitaries_batch(4, 64, rng)
+        assert calls == [(256, 4, rng)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_haar_batch_needs_a_unitary(self, count):
+        # as every other Ginibre shape below one row
+        with pytest.raises(InvalidDims):
+            ensembles.haar_unitaries_batch(4, count, RandomStream(20245, 12).generator())
+
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_haar_unitary_is_batch_of_one(self, d):
         stream = RandomStream(20245, 13)

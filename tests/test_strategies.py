@@ -357,6 +357,17 @@ class TestParse:
         assert parse_strategy("append:pure", spec) != parse_strategy("avg-ue", spec)
         assert parse_strategy("avg-ue", spec) != MapToDepolarizing(3)
 
+    @pytest.mark.parametrize("text", ["pure:omega", "pure:separable", "pure:random"])
+    def test_pure_output_parses_equal(self, text):
+        # compared through the purification's dims and vector
+        spec = EnsembleSpec(2, 2, 2, seed=57)
+        assert parse_strategy(text, spec) == parse_strategy(text, spec)
+
+    def test_pure_machines_differ_by_purification(self):
+        spec = EnsembleSpec(2, 2, 2, seed=57)
+        assert parse_strategy("pure:omega", spec) != parse_strategy("pure:separable", spec)
+        assert parse_strategy("pure:omega", spec) != parse_strategy("avg-ue", spec)
+
 
 class TestPureClosedForm:
     def test_rank_one_marginal_whatever_the_label(self):
