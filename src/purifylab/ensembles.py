@@ -9,7 +9,8 @@ rounding.  A normalized-Wishart route to the same Choi distribution is
 provided as an independent cross-check, together with the Marchenko-Pastur
 reference density that governs the spectra at large dimension.  Every
 Ginibre draw, for the bank, a Haar stack or the Wishart route, goes through
-one function, :func:`sample_ginibre`.
+one function, :func:`sample_ginibre`, as unscaled standard complex normals:
+both routes are scale-free, so a scale would change nothing but the cost.
 
 All randomness flows through :class:`RandomStream`, a counter-based keyed
 stream: identical ``(seed, index)`` always reproduces the same draws, no
@@ -165,11 +166,6 @@ class RandomStream:
 
 # Per-thread Philox that keyed Ginibre draws re-key (RandomStream.generator).
 _SCRATCH = threading.local()
-# The Ginibre scale 1/sqrt(2), as a read-only 0-d float64 array: an in-place
-# multiply by it gives the bits of a multiply by the Python float, and skips
-# converting that float on every draw.
-_SQRT_HALF = np.array(1.0 / math.sqrt(2.0))
-_SQRT_HALF.flags.writeable = False
 _COMPLEX128 = np.dtype(np.complex128)
 
 
@@ -185,7 +181,7 @@ def sample_ginibre(
     rs: RandomStream | np.random.Generator,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Complex Ginibre matrix: i.i.d. entries with Re, Im ~ N(0, 1/2).
+    """Complex Ginibre matrix: i.i.d. entries with Re, Im ~ N(0, 1).
 
     The one Ginibre entry point: every channel isometry, Haar unitary and
     Wishart factor is drawn here.  With ``out`` (a C-contiguous complex128
@@ -197,10 +193,10 @@ def sample_ginibre(
 
     The standard normals go straight into the result's real view, each
     consecutive (Re, Im) pair one entry, in the order of
-    ``rng.standard_normal((rows, cols, 2))``, and are scaled there by
-    1/sqrt(2).  numpy divides a complex by the real sqrt(2) as one multiply
-    by that reciprocal, so the entries are bit-identical to
-    ``(z[..., 0] + 1j * z[..., 1]) / sqrt(2)``.
+    ``rng.standard_normal((rows, cols, 2))``: ``z[..., 0] + 1j * z[..., 1]``
+    bit for bit, E|g|^2 = 2.  No scale is applied, since no consumer sees
+    one: the phase-fixed QR factor of cG is that of G for any c > 0, and the
+    Wishart route normalises it away.
     """
     if rows < 1 or cols < 1:
         raise InvalidDims("Ginibre dimensions must be >= 1")
@@ -222,7 +218,6 @@ def sample_ginibre(
             _SCRATCH.rng = rs
     x = out.view(float)
     rs.standard_normal(out=x)
-    x *= _SQRT_HALF
     return out
 
 
@@ -377,7 +372,7 @@ def sample_wishart_choi(spec: EnsembleSpec, rs: RandomStream | np.random.Generat
 
 def mp_support(c: float) -> tuple[float, float]:
     """Support edges ((1 - sqrt(c))^2, (1 + sqrt(c))^2) of the bulk."""
-    if c <= 0:
+    if not c > 0:
         raise DomainError("aspect ratio c must be positive")
     s = math.sqrt(c)
     return (1.0 - s) ** 2, (1.0 + s) ** 2
@@ -402,7 +397,7 @@ def mp_density(c: float, x) -> np.ndarray | float:
 
 def mp_atom(c: float) -> float:
     """Weight of the point mass at zero: (1 - 1/c)+."""
-    if c <= 0:
+    if not c > 0:
         raise DomainError("aspect ratio c must be positive")
     return max(0.0, 1.0 - 1.0 / c)
 

@@ -587,8 +587,9 @@ def _symmetric_pairs(side: int) -> tuple[np.ndarray, np.ndarray]:
     return rows * side + cols, pos.ravel()
 
 
-def _second_moment_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-    """Sum of (v x v)(v x v)† over draws [lo, hi), on the kept Sym^2 columns.
+def _second_moment_chunk(spec: EnsembleSpec, rows, cols, lo: int, hi: int) -> np.ndarray:
+    """Sum of (v x v)(v x v)† over draws [lo, hi), on the kept Sym^2 columns,
+    the factor indices (i, j) of which are ``rows`` and ``cols``.
 
     Only the blocks on and above the diagonal are summed: one einsum per row
     block of height side, over the columns from its diagonal block on, each
@@ -599,7 +600,6 @@ def _second_moment_chunk(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     vm = _vmat_bank(spec, lo, hi, PURPOSE_SAMPLE)
     vecs = vm.reshape(hi - lo, -1)
     side = vecs.shape[1]
-    rows, cols = np.divmod(_symmetric_pairs(side)[0], side)
     # einsum forms v_i v_j with the bits of its v_j v_i, so each kept column
     # stands for its mirror exactly; a plain multiply would round differently
     pairs = np.einsum("bk,bk->bk", vecs[:, rows], vecs[:, cols])
@@ -635,7 +635,9 @@ def second_moment_operator(
         raise TooLarge("two-copy operator needs d_i * d_o * d_e <= 64")
     if n < 1:
         raise InvalidDims("two-copy average needs n >= 1")
-    parts = _chunk_map(partial(_second_moment_chunk, spec), n, workers)
+    kept, full = _symmetric_pairs(side)
+    rows, cols = np.divmod(kept, side)
+    parts = _chunk_map(partial(_second_moment_chunk, spec, rows, cols), n, workers)
     acc = next(parts)
     for part in parts:
         acc += part
@@ -643,7 +645,6 @@ def second_moment_operator(
     acc /= n
     lower = np.tril_indices(len(acc), -1)
     acc[lower] = acc.T[lower].conj()
-    _, full = _symmetric_pairs(side)
     return acc[np.ix_(full, full)]
 
 

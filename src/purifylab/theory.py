@@ -114,9 +114,9 @@ def eps_tomo_bound(
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError("kappa must be positive")
-    if k < 1:
+    if not k >= 1:
         raise DomainError("copy budget k must be >= 1")
     r = min(d_e, d_i * d_o)
     rate = kappa * (d_i * d_o * r + math.log(1.0 / delta)) / k
@@ -164,5 +164,7 @@ def sqrt_moment_asymptote(d_i: int, d_o: int, d_e: int) -> float:
     """
     from .ensembles import mp_mu
 
+    if not d_e >= 1:
+        raise DomainError(f"environment dimension d_e must be >= 1, got {d_e}")
     c = d_i * d_o / d_e
     return d_i**2 * d_o * mp_mu(c) ** 2

@@ -188,7 +188,7 @@ class TestStreamContract:
         got = ensembles.sample_ginibre(6, 3, stream)
         ref = stream.generator().standard_normal((6, 3, 2))
         assert np.array_equal(got, want)
-        assert np.array_equal(got, (ref[..., 0] + 1j * ref[..., 1]) / math.sqrt(2.0))
+        assert np.array_equal(got, ref[..., 0] + 1j * ref[..., 1])
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 5)])
     def test_rekey_threaded_banks_equal_serial(self, dims):
@@ -322,7 +322,7 @@ class TestStreamContract:
     def test_ginibre_matches_split_formula(self, shape):
         stream = RandomStream(20245, 11)
         z = stream.generator().standard_normal((*shape, 2))
-        want = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        want = z[..., 0] + 1j * z[..., 1]
         got = ensembles.sample_ginibre(*shape, stream)
         assert np.array_equal(got, want)
         buf = np.full(shape, np.nan, dtype=complex)
@@ -349,7 +349,7 @@ class TestStreamContract:
     def test_haar_batch_matches_split_formula(self, d, count):
         stream = RandomStream(20245, 12)
         z = stream.generator().standard_normal((count, d, d, 2))
-        want = ensembles._qr_haar_batch((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
+        want = ensembles._qr_haar_batch(z[..., 0] + 1j * z[..., 1])
         got = ensembles.haar_unitaries_batch(d, count, stream.generator())
         assert np.array_equal(got, want)
 
@@ -380,7 +380,7 @@ class TestStreamContract:
     def test_haar_unitary_is_batch_of_one(self, d):
         stream = RandomStream(20245, 13)
         z = stream.generator().standard_normal((1, d, d, 2))
-        want = ensembles._qr_haar_batch((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
+        want = ensembles._qr_haar_batch(z[..., 0] + 1j * z[..., 1])
         assert np.array_equal(ensembles.sample_haar_unitary(d, stream), want[0])
 
     def test_haar_batch_holds_two_stacks(self):
@@ -438,6 +438,17 @@ class TestQRHaarBatch:
         t = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2
         for x, want in ((a, 1 / d), (a**2, 2 / (d * (d + 1))), (t, 1.0)):
             assert abs(x.mean() - want) < 4 * x.std() / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("scale", [1 / math.sqrt(2.0), 3.0])
+    @pytest.mark.parametrize("shape", [(16, 4, 4), (16, 6, 2), (16, 64, 4)])
+    def test_scale_free(self, shape, scale):
+        # the phase-fixed Q of cG is that of G for any c > 0, so a Ginibre
+        # draw needs no scale; the singularity rule is relative as well
+        count, rows, cols = shape
+        g = ensembles.sample_ginibre(count * rows, cols, RandomStream(34, rows).generator())
+        g = g.reshape(shape)
+        want = ensembles._qr_haar_batch(g)
+        assert_allclose(ensembles._qr_haar_batch(scale * g), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("col", [0, 2])
     def test_zero_column_raises(self, col):
@@ -532,12 +543,13 @@ class TestGinibre:
         rng = RandomStream(2024, 0).generator()
         g = ensembles.sample_ginibre(200, 500, rng)  # 1e5 entries
         n = g.size
-        # Entry mean ~ CN(0, 1/n); 4 sigma on each real part.
-        assert abs(g.mean().real) < 4 / math.sqrt(2 * n)
-        assert abs(g.mean().imag) < 4 / math.sqrt(2 * n)
-        # E|G|^2 = 1, Var(|G|^2) = 1 for a unit complex Gaussian.
+        # Entry mean ~ CN(0, 2/n); 4 sigma on each real part.
+        assert abs(g.mean().real) < 4 / math.sqrt(n)
+        assert abs(g.mean().imag) < 4 / math.sqrt(n)
+        # Re, Im ~ N(0, 1): |G|^2 is chi-squared with 2 degrees of freedom,
+        # E|G|^2 = 2, Var(|G|^2) = 4.
         second = np.mean(np.abs(g) ** 2)
-        assert abs(second - 1.0) < 4 / math.sqrt(n)
+        assert abs(second - 2.0) < 4 * 2 / math.sqrt(n)
 
 
 class TestHaarIsometry:
@@ -686,6 +698,19 @@ class TestWishartRoute:
         sigma = math.hypot(p1.std() / math.sqrt(n), p2.std() / math.sqrt(n))
         assert gap < 3 * sigma
 
+    @pytest.mark.parametrize("scale", [1 / math.sqrt(2.0), 3.0])
+    def test_scale_free(self, monkeypatch, scale):
+        # W is normalised by its own partial trace, so cG gives the C of G
+        spec = EnsembleSpec(2, 2, 3, seed=15)
+        want = [ensembles.sample_wishart_choi(spec, spec.stream(i)).matrix for i in range(8)]
+        ginibre = ensembles.sample_ginibre
+        monkeypatch.setattr(
+            ensembles, "sample_ginibre", lambda *args: scale * ginibre(*args)
+        )
+        for i, w in enumerate(want):
+            got = ensembles.sample_wishart_choi(spec, spec.stream(i)).matrix
+            assert_allclose(got, w, rtol=0, atol=1e-13)
+
     def test_full_rank_when_environment_large(self):
         spec = EnsembleSpec(2, 2, 5, seed=14)
         for i in range(100):
@@ -728,6 +753,20 @@ class TestMarchenkoPastur:
             lambda x: math.sqrt(x) * ensembles.mp_density(c, x), lo, hi, limit=400
         )
         assert ensembles.mp_mu(c) == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ensembles.mp_support(math.nan),
+            lambda: ensembles.mp_density(math.nan, 0.5),
+            lambda: ensembles.mp_atom(math.nan),
+        ],
+        ids=["support", "density", "atom"],
+    )
+    def test_nan_aspect_ratio_raises(self, call):
+        # each check is a failed positive test, so NaN fails it
+        with pytest.raises(DomainError):
+            call()
 
     def test_mu_domain(self):
         with pytest.raises(DomainError):

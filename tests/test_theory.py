@@ -167,6 +167,14 @@ class TestEpsTomoBound:
         with pytest.raises(DomainError):
             theory.eps_tomo_bound(2, 2, 2, 0, delta=0.5, kappa=1.0)
 
+    @pytest.mark.parametrize(
+        "k, kappa", [(64, math.nan), (math.nan, 1.0)], ids=["kappa", "k"]
+    )
+    def test_nan_raises(self, k, kappa):
+        # each check is a failed positive test, so NaN fails it
+        with pytest.raises(DomainError):
+            theory.eps_tomo_bound(2, 2, 2, k, 0.1, kappa)
+
 
 class TestTable2:
     def test_balanced_purity_qubits(self):
@@ -221,3 +229,7 @@ class TestSqrtMomentAsymptote:
         # c -> 0 means mu -> 1 and the reference approaches d_i^2 d_o.
         ref = theory.sqrt_moment_asymptote(2, 2, 10**6)
         assert ref == pytest.approx(8.0, rel=1e-4)
+
+    def test_empty_environment_raises(self):
+        with pytest.raises(DomainError):
+            theory.sqrt_moment_asymptote(2, 2, 0)
