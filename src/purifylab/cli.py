@@ -9,7 +9,8 @@ Subcommands:
 * ``fixtures``      golden fixture regression run
 
 Outputs are CSV (canonical, 12 significant digits, config echoed in header
-comments) or JSON; ``--plot`` adds an SVG chart next to the output file.
+comments) or JSON (numbers and lists kept typed); ``--plot`` adds an SVG
+chart next to the output file.
 Exit codes: 0 success, 1 failed check, 2 usage or config error.
 
 Each flag declares its setting's default, type and check once.  A config
@@ -51,10 +52,14 @@ FORMATS = ("csv", "json")
 
 
 def _fmt(x) -> str:
+    """The text of a header value or a CSV cell: a number at 12 significant
+    digits, a list joined with commas, ``None`` as an empty cell."""
     if x is None:
         return ""
     if isinstance(x, str):
         return x
+    if isinstance(x, list):
+        return ",".join(map(_fmt, x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
@@ -64,8 +69,10 @@ def _write_table(args, header: list[str], rows: list[list], extra: dict | None =
                  chart: tuple[str, dict, dict] | None = None):
     """Emit a report to ``--out`` (default stdout) as CSV, with a ``#``
     comment prologue, or as JSON: the command, the version, the run settings
-    the command has, then ``extra``.  Under ``--plot``, ``chart`` = (default
-    name, series, labels) is also drawn to ``<--out or default name>.svg``."""
+    the command has, then ``extra``.  Values are numbers, strings, lists or
+    ``None``: CSV text comes from ``_fmt``, JSON keeps them typed.  Under
+    ``--plot``, ``chart`` = (default name, series, labels) is also drawn to
+    ``<--out or default name>.svg``."""
     comments = {"command": args.command, "version": __version__}
     for key in ("di", "do", "de", "n", "seed", "workers"):
         if hasattr(args, key):
@@ -73,9 +80,9 @@ def _write_table(args, header: list[str], rows: list[list], extra: dict | None =
     comments.update(extra or {})
     if args.format == "json":
         payload = {"config": comments, "rows": [dict(zip(header, row)) for row in rows]}
-        text = json.dumps(payload, indent=2, default=str) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [f"# {k}={v}" for k, v in comments.items()]
+        lines = [f"# {k}={_fmt(v)}" for k, v in comments.items()]
         lines.append(",".join(header))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
@@ -104,26 +111,28 @@ def at_least(floor: int):
 
 
 class EnvDims(str):
-    """The ``--de`` text as given, for the header; ``dims`` lists the
-    environment dimensions it names."""
+    """Sweep's ``--de`` range ``a..b`` as given, for the header; ``dims``
+    lists the environment dimensions it names."""
 
     dims: list[int]
 
 
-def env_range(text) -> EnvDims:
-    """One environment dimension >= 1, or a range ``a..b``: sweep's ``--de``."""
+def env_range(text) -> int | EnvDims:
+    """Sweep's ``--de``: one environment dimension >= 1, or a range ``a..b``."""
     try:
         lo, hi = map(int, text.split("..")) if ".." in text else (int(text),) * 2
     except ValueError:
         lo = hi = 0
     if lo < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad environment dimension or range {text!r}")
+    if ".." not in text:
+        return lo
     out = EnvDims(text)
     out.dims = list(range(lo, hi + 1))
     return out
 
 
-def env_dim(text) -> EnvDims:
+def env_dim(text) -> int:
     """One environment dimension >= 1: ``--de`` of every command but sweep."""
     if ".." in text:
         raise argparse.ArgumentTypeError(
@@ -135,7 +144,7 @@ def env_dim(text) -> EnvDims:
 def copy_budgets(text) -> list[int]:
     """``--k``: a comma list of at least three copy budgets, each >= 1, spanning 16x."""
     try:
-        ks = [int(x) for x in text.split(",") if x]
+        ks = [int(x) for x in text.split(",")]
     except ValueError:
         ks = []
     if len(ks) < 3 or min(ks) < 1 or max(ks) < 16 * min(ks):
@@ -145,15 +154,13 @@ def copy_budgets(text) -> list[int]:
 
 
 def strategy_list(text) -> list[str]:
-    """``--strategies``: a non-empty comma list of distinct strategy strings,
-    each stripped of surrounding spaces and read by ``metrics.check_strategy``,
-    so a bad name exits before any machine is built."""
+    """``--strategies``: a comma list of distinct strategy strings, each
+    stripped of surrounding spaces and read by ``metrics.check_strategy``, so
+    a bad or empty name exits before any machine is built."""
     try:
-        names = [metrics.check_strategy(s) for s in text.split(",") if s]
+        names = [metrics.check_strategy(s) for s in text.split(",")]
     except PurifyLabError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not names:
-        raise argparse.ArgumentTypeError("needs a non-empty strategy list")
     repeated = sorted({s for s in names if names.count(s) > 1})
     if repeated:
         raise argparse.ArgumentTypeError(f"strategy {', '.join(repeated)} named twice")
@@ -274,16 +281,15 @@ def _run_check(name: str, spec: EnsembleSpec, n: int, workers: int):
         purity = estimate_moments(spec, n, "purity", workers=workers)
         got = float(ordered.values.sum())
         return purity.value, got, 1e-9, abs(got - purity.value) <= 1e-9
-    if name == "second-moment":
-        mc = metrics.second_moment_operator(spec, n, workers=workers)
-        cf = second_moment_closed_form(spec)
-        rel = float(np.linalg.norm(mc - cf) / np.linalg.norm(cf))
-        return 0.0, rel, 0.03, rel < 0.03
-    raise PurifyLabError(f"unknown check {name!r}; expected one of {CHECKS}")
+    # second-moment, the one name left: --check takes only CHECKS
+    mc = metrics.second_moment_operator(spec, n, workers=workers)
+    cf = second_moment_closed_form(spec)
+    rel = float(np.linalg.norm(mc - cf) / np.linalg.norm(cf))
+    return 0.0, rel, 0.03, rel < 0.03
 
 
 def cmd_validate(args) -> int:
-    spec = EnsembleSpec(args.di, args.do, args.de.dims[0], seed=args.seed)
+    spec = EnsembleSpec(args.di, args.do, args.de, seed=args.seed)
     names = [args.check] if args.check else list(DEFAULT_CHECKS)
     rows = []
     all_ok = True
@@ -305,7 +311,7 @@ def cmd_sweep(args) -> int:
     strategies = args.strategies
     rows = []
     curves: dict[str, tuple[list[float], list[float]]] = {s: ([], []) for s in strategies}
-    for d_e in args.de.dims:
+    for d_e in args.de.dims if isinstance(args.de, EnvDims) else [args.de]:
         spec = EnsembleSpec(args.di, args.do, d_e, seed=args.seed)
         for text in strategies:
             strat = parse_strategy(text, spec, n_weights=args.n, workers=args.workers)
@@ -318,7 +324,7 @@ def cmd_sweep(args) -> int:
     header = ["d_E", "strategy", "mean", "stderr", "closed_form", "n", "seed"]
     labels = {"title": f"average purification error, d_I={args.di} d_O={args.do}",
               "xlabel": "environment dimension", "ylabel": "mean squared HS distance"}
-    _write_table(args, header, rows, {"strategies": ",".join(strategies)},
+    _write_table(args, header, rows, {"strategies": strategies},
                  ("sweep", curves, labels))
     return 0
 
@@ -352,7 +358,7 @@ def _mp_ks_distance(c: float, eigs: np.ndarray) -> float:
 
 def cmd_spectrum(args) -> int:
     bins, draws = args.bins, args.draws
-    spec = EnsembleSpec(args.di, args.do, args.de.dims[0], seed=args.seed)
+    spec = EnsembleSpec(args.di, args.do, args.de, seed=args.seed)
     c_ratio = spec.d_i * spec.d_o / spec.d_e
 
     chunks = metrics._chunk_map(partial(_spectrum_chunk, spec), draws, args.workers)
@@ -370,17 +376,14 @@ def cmd_spectrum(args) -> int:
     atom = mp_atom(c_ratio)
 
     ks = _mp_ks_distance(c_ratio, eigs)
-    rows = [
-        [f"{c:.12g}", int(k), e, o, atom]
-        for c, k, e, o in zip(centers, counts, empir, overlay)
-    ]
+    rows = [[*row, atom] for row in zip(centers, counts.tolist(), empir, overlay)]
     header = ["bin_center", "count", "empirical_density", "mp_density", "atom_weight"]
     series = {"empirical": (centers.tolist(), empir.tolist()),
               "reference": (centers.tolist(), np.asarray(overlay).tolist())}
     labels = {"title": f"spectral density of d_O C, c={c_ratio:g}",
               "xlabel": "eigenvalue of d_O C", "ylabel": "density"}
     _write_table(args, header, rows,
-                 {"draws": draws, "bins": bins, "c": f"{c_ratio:.12g}", "ks": f"{ks:.6g}"},
+                 {"draws": draws, "bins": bins, "c": c_ratio, "ks": ks},
                  ("spectrum", series, labels))
     return 0
 
@@ -394,7 +397,7 @@ def cmd_tomo_scaling(args) -> int:
     ks = args.k
     if ks is None:
         raise PurifyLabError("tomo-scaling needs --k k1,k2,...")
-    spec = EnsembleSpec(args.di, args.do, args.de.dims[0], seed=args.seed)
+    spec = EnsembleSpec(args.di, args.do, args.de, seed=args.seed)
     rows = []
     means = []
     for k in ks:
@@ -403,11 +406,11 @@ def cmd_tomo_scaling(args) -> int:
         rows.append([k, rep.mean, rep.stderr])
         means.append(rep.mean)
     slope = float(np.polyfit(np.log(ks), np.log(means), 1)[0])
-    rows.append(["slope", slope, ""])
+    rows.append(["slope", slope, None])
     header = ["k", "mean", "stderr"]
     labels = {"title": "estimation-machine error vs copy budget",
               "xlabel": "copies k", "ylabel": "mean error", "loglog": True}
-    _write_table(args, header, rows, {"k": ",".join(map(str, ks)), "slope": f"{slope:.6g}"},
+    _write_table(args, header, rows, {"k": ks, "slope": slope},
                  ("tomo", {"estimation error": (list(map(float, ks)), means)}, labels))
     return 0
 
@@ -477,7 +480,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(_with_defaults(parser, args, argv))
-    except (PurifyLabError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # PurifyLabError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

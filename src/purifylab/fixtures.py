@@ -118,7 +118,8 @@ def run_fixtures(path: str | None = None) -> dict:
             raise PurifyLabError(f"fixture {name!r}: tol {tol!r} is not a number")
         try:
             got = op(**rec["input"])
-        except (TypeError, KeyError) as exc:  # a missing or unexpected key
+        # a missing or unexpected key, or a value the op rejects
+        except (TypeError, KeyError, PurifyLabError) as exc:
             raise PurifyLabError(
                 f"fixture {name!r}: bad input: {type(exc).__name__} {exc}"
             ) from exc

@@ -9,6 +9,7 @@ bookkeeping lives in one place.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +64,19 @@ def _check_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
+def _integers(values: Iterable, what: str, low: int = 0) -> list[int]:
+    """``values`` as Python ints (NumPy integers accepted), each >= ``low``,
+    or :class:`InvalidDims`: a float dimension or index is never truncated."""
+    values = list(values)
+    try:
+        out = [operator.index(v) for v in values]
+    except TypeError:
+        raise InvalidDims(f"{what} must be integers, got {values}") from None
+    if any(v < low for v in out):
+        raise InvalidDims(f"{what} {out} must each be >= {low}")
+    return out
+
+
 def partial_trace(
     m: np.ndarray, dims: Sequence[int], keep: Iterable[int]
 ) -> np.ndarray:
@@ -79,12 +93,12 @@ def partial_trace(
     The reduced matrix on the kept factors.  The full trace is preserved.
     """
     side = _check_square(m)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims) or math.prod(dims) != side:
+    dims = _integers(dims, "factor dims", low=1)
+    if math.prod(dims) != side:
         raise InvalidDims(f"factor dims {dims} do not multiply to side {side}")
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
+    keep = sorted(set(_integers(keep, "keep indices")))
+    if any(k >= n for k in keep):
         raise InvalidDims(f"keep indices {keep} out of range for {n} factors")
 
     t = m.reshape(dims + dims)
@@ -211,10 +225,9 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def flip_operator(d: int) -> np.ndarray:
     """Swap operator F on C^d x C^d, F |a,b> = |b,a>.
 
-    Satisfies tr[(X x Y) F] = tr(XY), F^2 = 1, and F = F†.
+    Satisfies tr[(X x Y) F] = tr(XY), F^2 = 1, and F = F†.  ``d`` must be
+    an integer >= 1 (``InvalidDims`` otherwise).
     """
-    if d < 1:
-        raise InvalidDims("flip dimension must be >= 1")
     return permute_factors((d, d), (1, 0))
 
 
@@ -225,8 +238,8 @@ def permute_factors(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     keep its dimension.  Built by index assignment, so a product of
     factor permutations costs one dense matrix instead of a matmul.
     """
-    dims = [int(d) for d in dims]
-    perm = [int(p) for p in perm]
+    dims = _integers(dims, "factor dims", low=1)
+    perm = _integers(perm, "factor permutation")
     if sorted(perm) != list(range(len(dims))) or any(
         dims[p] != d for p, d in zip(perm, dims)
     ):
@@ -245,9 +258,10 @@ def swap_factors(dims: Sequence[int], i: int, j: int) -> np.ndarray:
     untouched.  Used to assemble flip-operator identities on spaces holding
     two copies of a system.
     """
-    dims = [int(d) for d in dims]
+    dims = _integers(dims, "factor dims", low=1)
+    i, j = _integers((i, j), "factor indices")
     n = len(dims)
-    if not (0 <= i < n and 0 <= j < n) or dims[i] != dims[j]:
+    if not (i < n and j < n) or dims[i] != dims[j]:
         raise InvalidDims(f"cannot swap factors {i},{j} of dims {dims}")
     perm = list(range(n))
     perm[i], perm[j] = perm[j], perm[i]

@@ -290,6 +290,5 @@ def tomography_estimate(
     # exactly Hermitian: einsum forms entries (i, j) and (j, i) from
     # conjugate products summed in the same order
     rho_hat = (dim + 1) * basis_sum / k - np.eye(dim)
-    vals, vecs = np.linalg.eigh(rho_hat)
-    top = vecs[:, -1]
+    top = np.linalg.eigh(rho_hat)[1][:, -1]  # eigenvector of the top eigenvalue
     return PurificationVector(c.d_i, c.d_o, r, math.sqrt(c.d_i) * top)

@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 
+def _require_shape(d_i, d_o, d_e) -> None:
+    """:class:`DomainError` outside ``EnsembleSpec``'s shapes d_i >= 1,
+    d_o >= 2, d_e >= 1, where the closed forms divide by zero or describe no
+    channel; NaN fails it."""
+    if not (d_i >= 1 and d_o >= 2 and d_e >= 1):
+        raise DomainError(f"need d_i >= 1, d_o >= 2, d_e >= 1, got ({d_i}, {d_o}, {d_e})")
+
+
 def avg_purity(d_i: int, d_o: int, d_e: int) -> float:
     """Ensemble average of tr(C^2) for Haar-Stinespring random channels.
 
@@ -37,6 +45,7 @@ def avg_purity(d_i: int, d_o: int, d_e: int) -> float:
     (d_i d_o (d_e^2 - 1) + d_i^2 d_e (d_o^2 - 1)) / (d_o^2 d_e^2 - 1),
     which decreases monotonically in d_e from d_i^2 down to d_i / d_o.
     """
+    _require_shape(d_i, d_o, d_e)
     num = d_i * d_o * (d_e**2 - 1) + d_i**2 * d_e * (d_o**2 - 1)
     den = d_o**2 * d_e**2 - 1
     return num / den
@@ -44,6 +53,7 @@ def avg_purity(d_i: int, d_o: int, d_e: int) -> float:
 
 def eps_dep(d_i: int, d_o: int, d_e: int) -> float:
     """Exact error of the map-to-depolarizing strategy: d_i^2 - d_i/(d_o d_e)."""
+    _require_shape(d_i, d_o, d_e)
     return d_i**2 - d_i / (d_o * d_e)
 
 

@@ -493,6 +493,9 @@ class TestOneParser:
         (["sweep", "--n", "3", "--strategies", "dep"], "de", "0"),
         (["sweep", "--n", "3", "--de", "1"], "strategies", ","),
         (["sweep", "--n", "3", "--de", "1"], "strategies", "dep,dep"),
+        (["sweep", "--n", "3", "--de", "1"], "strategies", "dep,,avg-ue"),
+        (["sweep", "--n", "3", "--de", "1"], "strategies", "dep,"),
+        (["tomo-scaling", "--n", "3"], "k", "8,,32,128"),
         (["validate", "--n", "3"], "check", "purty"),
         (["validate", "--check", "purity"], "n", "1"),
         (["validate", "--check", "second-moment"], "n", "1"),
@@ -503,6 +506,7 @@ class TestOneParser:
         (["tomo-scaling", "--k", "8,32,128"], "n", "0"),
     ], ids=["bins-below-10", "draws-0", "k-letter", "k-span", "k-below-1", "de-range-off-sweep",
             "de-letter", "de-0", "strategies-empty", "strategies-repeated",
+            "strategies-empty-entry", "strategies-trailing-comma", "k-empty-entry",
             "check-choice", "n-1-validate",
             "n-1-second-moment", "n-0-validate", "n-1-sweep", "n-negative-sweep",
             "n-1-tomo-scaling", "n-0-tomo-scaling"])
@@ -577,6 +581,61 @@ class TestFixturesCommand:
         bad.write_text(json.dumps([rec]))
         assert run_cli(["fixtures", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: fixture 'sideless'")
+
+    def test_rejected_input_exit_2(self, tmp_path, capsys):
+        # avg_purity at d_o = d_e = 1 used to end in a ZeroDivisionError
+        # traceback, exit 1
+        bad = tmp_path / "bad.json"
+        rec = {"name": "flat", "op": "avg_purity", "input": {"d_i": 1, "d_o": 1, "d_e": 1},
+               "expected": 1.0, "tol": 1e-12, "provenance": "closed_form"}
+        bad.write_text(json.dumps([rec]))
+        assert run_cli(["fixtures", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: fixture 'flat'")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestJsonValues:
+    """``--format json`` carries what the CSV prints as a number as a JSON
+    number, an empty cell as null, and each comma list as a JSON list."""
+
+    @pytest.mark.parametrize("argv, lists", [
+        (["validate", "--di", "1", "--do", "2", "--de", "2", "--n", "20",
+          "--check", "purity"], ()),
+        (["sweep", "--de", "1..2", "--n", "20", "--strategies", "dep,avg-ue"],
+         ("strategies",)),
+        (["sweep", "--de", "2", "--n", "20", "--strategies", "dep"], ("strategies",)),
+        (["spectrum", "--de", "2", "--draws", "5", "--bins", "10"], ()),
+        (["tomo-scaling", "--di", "1", "--de", "2", "--k", "1,4,16", "--n", "3"], ("k",)),
+    ], ids=["validate", "sweep", "sweep-one-de", "spectrum", "tomo-scaling"])
+    def test_numbers_stay_numbers(self, tmp_path, argv, lists):
+        csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+        assert run_cli(argv + ["--out", str(csv)]) == 0
+        assert run_cli(argv + ["--format", "json", "--out", str(js)]) == 0
+        data = json.loads(js.read_text())
+        lines = csv.read_text().splitlines()
+        config = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+        header, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        assert list(data["config"]) == list(config)
+        for key in lists:
+            assert isinstance(data["config"][key], list)
+            assert ",".join(map(str, data["config"][key])) == config[key]
+        cells = [(config[k], data["config"][k]) for k in config if k not in lists]
+        assert [list(r) for r in data["rows"]] == [header] * len(rows)
+        cells += [(t, r[h]) for row, r in zip(rows, data["rows"]) for h, t in zip(header, row)]
+        for text, value in cells:
+            if text == "":
+                assert value is None
+            elif _is_number(text):
+                assert type(value) in (int, float) and value == pytest.approx(float(text))
+            else:
+                assert value == text
 
 
 class TestEntryPoint:

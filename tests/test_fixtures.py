@@ -41,10 +41,25 @@ class TestSchemaEnforcement:
          "fixture 'x'.*'d_o'"),
         ([_record(expected="x")], "fixture 'x'"),
         ([_record(expected=[1.6, 1.6])], "fixture 'x'"),
+        # an op that rejects its input: the closed forms outside EnsembleSpec's
+        # shapes (once a ZeroDivisionError), mp_mu outside its domain, and a
+        # flip dimension that is not an integer (once truncated to 2)
+        ([_record(input={"d_i": 1, "d_o": 1, "d_e": 1})], "fixture 'x'.*DomainError"),
+        ([_record(op="eps_dep", input={"d_i": 1, "d_o": 0, "d_e": 1}, expected=0.0)],
+         "fixture 'x'.*DomainError"),
+        ([_record(op="eps_avg_ue", input={"d_i": 1, "d_o": 2, "d_e": 0}, expected=0.0)],
+         "fixture 'x'.*DomainError"),
+        ([_record(op="eps_app_bounds", input={"d_i": 1, "d_o": 0, "d_e": 2},
+                  expected=[0.0, 0.0])], "fixture 'x'.*DomainError"),
+        ([_record(op="mp_mu", input={"c": 0}, expected=1.0)], "fixture 'x'.*mp_mu"),
+        ([_record(op="flip_trace", input={"d": 2.5}, expected=2.5, provenance="trivial")],
+         "fixture 'x'.*InvalidDims"),
     ], ids=["missing-input-key", "unexpected-input-key", "input-not-object",
             "tol-not-number", "record-not-object", "file-not-list",
             "matrix-missing-side", "choi-missing-field", "expected-not-number",
-            "expected-wrong-shape"])
+            "expected-wrong-shape", "avg-purity-outside-shapes", "eps-dep-outside-shapes",
+            "eps-avg-ue-outside-shapes", "eps-app-bounds-outside-shapes", "mp-mu-domain",
+            "flip-trace-float-dimension"])
     def test_malformed_file_names_the_record(self, tmp_path, records, match):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(records))

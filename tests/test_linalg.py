@@ -69,6 +69,19 @@ class TestPartialTrace:
         with pytest.raises(InvalidDims):
             linalg.partial_trace(np.eye(4), (2, 2), keep=(3,))
 
+    @pytest.mark.parametrize("dims, keep", [((2.9, 2), (0,)), ((2.0, 2), (0,)),
+                                            ((2, 2), (0.5,)), (("2", 2), (0,))],
+                             ids=["float-dim", "integral-float-dim", "float-keep", "str-dim"])
+    def test_dims_and_keep_must_be_integers(self, dims, keep):
+        # once truncated by int(): (2.9, 2) traced a 4x4 matrix to 2x2
+        with pytest.raises(InvalidDims, match="must be integers"):
+            linalg.partial_trace(np.eye(4), dims, keep=keep)
+
+    def test_numpy_integers_accepted(self):
+        m = np.kron(np.diag([1.0, 2.0]), np.eye(3))
+        red = linalg.partial_trace(m, np.array([2, 3]), keep=[np.int64(0)])
+        assert_allclose(red, np.diag([3.0, 6.0]))
+
 
 class TestHermEig:
     def test_diagonal_ordering(self):
@@ -203,6 +216,12 @@ class TestFlip:
             assert_allclose(f, f.conj().T)
             assert np.trace(f) == pytest.approx(d)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, 0])
+    def test_dimension_must_be_an_integer_of_at_least_one(self, d):
+        # 2.5 once returned the 4x4 swap of d = 2
+        with pytest.raises(InvalidDims):
+            linalg.flip_operator(d)
+
     def test_matches_swap_factors(self):
         assert_allclose(linalg.flip_operator(3), linalg.swap_factors((3, 3), 0, 1))
 
@@ -243,6 +262,21 @@ class TestPermuteFactors:
             linalg.permute_factors((2, 2), (0, 0))
         with pytest.raises(InvalidDims):
             linalg.permute_factors((2, 2, 2), (1, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: linalg.permute_factors((2.5, 2.5), (1, 0)),
+        lambda: linalg.permute_factors((2, 2), (1.0, 0)),
+        lambda: linalg.swap_factors((2.0, 2.0), 0, 1),
+        lambda: linalg.swap_factors((2, 2), 0, 1.0),
+    ], ids=["permute-float-dim", "permute-float-index", "swap-float-dim", "swap-float-index"])
+    def test_rejects_non_integers(self, call):
+        with pytest.raises(InvalidDims, match="must be integers"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        dims = np.array([2, 3, 2])
+        assert np.array_equal(linalg.swap_factors(dims, np.int64(0), np.int64(2)),
+                              linalg.swap_factors((2, 3, 2), 0, 2))
 
 
 class TestCompleteElliptic:

@@ -33,6 +33,19 @@ class TestAvgPurity:
             assert 3 / 2 - 1e-12 <= p <= 9 + 1e-12
 
 
+class TestEnsembleShapes:
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 4), (1, 0, 2), (1, 2, 0), (0, 2, 2),
+                                      (2, 2, float("nan"))],
+                             ids=["d_o-d_e-1", "d_o-1", "d_o-0", "d_e-0", "d_i-0", "d_e-nan"])
+    @pytest.mark.parametrize("fn", [theory.avg_purity, theory.eps_dep, theory.eps_avg_ue,
+                                    theory.eps_app_bounds],
+                             ids=["avg_purity", "eps_dep", "eps_avg_ue", "eps_app_bounds"])
+    def test_outside_ensemble_spec_raises(self, fn, dims):
+        # d_o = d_e = 1 and d_o d_e = 0 once raised ZeroDivisionError
+        with pytest.raises(DomainError, match="d_o >= 2"):
+            fn(*dims)
+
+
 class TestEpsDep:
     def test_values(self):
         assert theory.eps_dep(2, 2, 1) == pytest.approx(3.0)
