@@ -12,12 +12,13 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EnvironmentTooSmall, InvalidDims, NotTracePreserving, NotUnitary
-from .linalg import _psd_eigvalsh, _purities, _require_identity, _require_norm
+from .linalg import _integers, _psd_eigvalsh, _purities, _require_identity, _require_norm
 from .linalg import dagger, partial_trace, psd_factor
 
 __all__ = [
@@ -45,8 +46,25 @@ def _re_im(a: np.ndarray) -> list:  # JSON form: [re, im] pairs, row-major
     return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
 
 
-def _from_re_im(pairs) -> np.ndarray:  # the flat complex vector back
-    return np.array([complex(re, im) for re, im in pairs])
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, never a bool (JSON's true/false)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _from_re_im(pairs, *shape) -> np.ndarray:
+    """The complex array of ``shape`` back from its JSON form, the codec's one
+    reader: exactly prod(shape) [re, im] pairs of numbers, row-major, or
+    :class:`InvalidDims`.  Each pair is read as ``complex(re, im)`` is."""
+    shape = _integers(shape, "re_im shape", low=1)
+    size = math.prod(shape)
+    if not (isinstance(pairs, list) and len(pairs) == size and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in pairs
+    )):
+        raise InvalidDims(f"re_im must be a list of {size} [re, im] pairs of numbers")
+    try:
+        return np.array(pairs, dtype=float).view(complex).reshape(shape)
+    except OverflowError:  # an integer past the float range, which complex() rejects too
+        raise InvalidDims("re_im holds an integer too large for a float") from None
 
 
 def _value_eq(a, b) -> bool:
@@ -99,9 +117,9 @@ class ChoiOperator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChoiOperator":
-        d_i, d_o = int(data["d_i"]), int(data["d_o"])
-        side = d_i * d_o
-        return cls(d_i, d_o, _from_re_im(data["re_im"]).reshape(side, side))
+        d_i, d_o = data["d_i"], data["d_o"]
+        m = _from_re_im(data["re_im"], d_i, d_o, d_i, d_o)
+        return cls(d_i, d_o, m.reshape(d_i * d_o, d_i * d_o))
 
 
 @dataclass(frozen=True)
@@ -146,8 +164,8 @@ class PurificationVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PurificationVector":
-        dims = (int(data["d_i"]), int(data["d_o"]), int(data["d_e"]))
-        return cls(*dims, _from_re_im(data["re_im"]))
+        dims = data["d_i"], data["d_o"], data["d_e"]
+        return cls(*dims, _from_re_im(data["re_im"], *dims))
 
 
 @dataclass(frozen=True)

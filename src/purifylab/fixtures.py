@@ -15,7 +15,7 @@ import numpy as np
 
 from . import theory
 from .channels import ChoiOperator, choi_from_kraus, kraus_from_choi, stinespring_from_choi
-from .channels import _from_re_im, depolarizing_choi
+from .channels import _from_re_im, _is_number, depolarizing_choi
 from .ensembles import mp_mu
 from .errors import PurifyLabError
 from .linalg import complete_elliptic, fidelity, flip_operator
@@ -23,11 +23,6 @@ from .linalg import complete_elliptic, fidelity, flip_operator
 __all__ = ["run_fixtures", "PROVENANCE_TAGS"]
 
 PROVENANCE_TAGS = ("closed_form", "trivial", "derived")
-
-
-def _matrix_from_json(data: dict) -> np.ndarray:
-    side = int(data["side"])
-    return _from_re_im(data["re_im"]).reshape(side, side)
 
 
 def _op_depolarizing_choi(d_i, d_o):
@@ -39,7 +34,7 @@ def _op_flip_trace(d):
 
 
 def _op_fidelity(rho, sigma):
-    return fidelity(_matrix_from_json(rho), _matrix_from_json(sigma))
+    return fidelity(*(_from_re_im(m["re_im"], m["side"], m["side"]) for m in (rho, sigma)))
 
 
 def _op_kraus_roundtrip_dev(choi):
@@ -74,8 +69,8 @@ _OPS = {
 
 def _max_dev(got, expected) -> float:
     if isinstance(expected, dict) and "re_im" in expected:
-        want = _from_re_im(expected["re_im"])
-        return float(np.max(np.abs(np.asarray(got).reshape(-1) - want)))
+        want = _from_re_im(expected["re_im"], *np.shape(got))
+        return float(np.max(np.abs(got - want)))
     got_arr = np.asarray(got, dtype=float).reshape(-1)
     want_arr = np.asarray(expected, dtype=float).reshape(-1)
     if got_arr.shape != want_arr.shape:
@@ -114,7 +109,7 @@ def run_fixtures(path: str | None = None) -> dict:
             raise PurifyLabError(f"unknown fixture op {rec['op']!r}")
         if not isinstance(rec["input"], dict):
             raise PurifyLabError(f"fixture {name!r}: input is not an object")
-        if not isinstance(tol, (int, float)):
+        if not _is_number(tol):
             raise PurifyLabError(f"fixture {name!r}: tol {tol!r} is not a number")
         try:
             got = op(**rec["input"])

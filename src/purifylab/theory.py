@@ -9,6 +9,7 @@ asymptotics silently.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -31,10 +32,15 @@ __all__ = [
 
 
 def _require_shape(d_i, d_o, d_e) -> None:
-    """:class:`DomainError` outside ``EnsembleSpec``'s shapes d_i >= 1,
+    """:class:`DomainError` outside ``EnsembleSpec``'s shapes, integers d_i >= 1,
     d_o >= 2, d_e >= 1, where the closed forms divide by zero or describe no
-    channel; NaN fails it."""
-    if not (d_i >= 1 and d_o >= 2 and d_e >= 1):
+    channel; 2.5 and NaN fail it."""
+    try:
+        d_i, d_o, d_e = map(operator.index, (d_i, d_o, d_e))
+        ok = d_i >= 1 and d_o >= 2 and d_e >= 1
+    except TypeError:  # not an integer
+        ok = False
+    if not ok:
         raise DomainError(f"need d_i >= 1, d_o >= 2, d_e >= 1, got ({d_i}, {d_o}, {d_e})")
 
 

@@ -269,6 +269,14 @@ class TestEmbedAndJson:
         back = PurificationVector.from_json_dict(v.to_json_dict())
         assert np.array_equal(back.vector, v.vector)
 
+    @pytest.mark.parametrize("dims, pairs", [((1, 2, 2.5), 4), ((1, 2, 2), 3)],
+                             ids=["d_e-float", "short-list"])
+    def test_purification_json_rejects(self, dims, pairs):
+        # d_e 2.5 was once truncated to 2, and the record accepted
+        data = {"d_i": dims[0], "d_o": dims[1], "d_e": dims[2], "re_im": [[0.5, 0.0]] * pairs}
+        with pytest.raises(InvalidDims, match="re_im"):
+            PurificationVector.from_json_dict(data)
+
     def test_rank_detection(self):
         c, _ = sampled(2, 2, 2, seed=16)
         assert c.rank() == 2

@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from purifylab import metrics, strategies
-from purifylab.cli import _mp_ks_distance, main
-from purifylab.ensembles import mp_cdf, mp_support
+from purifylab.cli import _mp_ks_distance, _run_check, main
+from purifylab.ensembles import EnsembleSpec, mp_cdf, mp_support
 from purifylab.metrics import STRATEGY_GRAMMAR
 
 
@@ -47,6 +48,26 @@ class TestValidate:
             "--seed", "3", "--check", "second-moment", "--out", str(out),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("dims", [(1, 4, 4), (2, 2, 4)])
+    def test_second_moment_check_peak(self, dims):
+        # the closed form is built first and subtracted in place: 32.9 side^4
+        # bytes at the peak, where mc - cf as a new operator held 42
+        spec = EnsembleSpec(*dims, seed=0)
+        side = spec.d_i * spec.d_o * spec.d_e
+        _run_check("second-moment", spec, 2, 1)  # the Sym² index maps, built once
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _run_check("second-moment", spec, 64, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 36 * side**4
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "report.json"

@@ -25,6 +25,15 @@ def _record(**changes):
     return rec
 
 
+_MIXED_2_7 = {"side": 2.7, "re_im": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+
+
+def _fidelity(**inputs):
+    one = {"side": 1, "re_im": [[1.0, 0.0]]}
+    return _record(op="fidelity", input={"rho": one, "sigma": one, **inputs}, expected=1.0,
+                   provenance="trivial")
+
+
 class TestSchemaEnforcement:
     @pytest.mark.parametrize("records, match", [
         ([_record(input={"d_i": 2, "d_o": 2})], "fixture 'x'"),
@@ -54,12 +63,29 @@ class TestSchemaEnforcement:
         ([_record(op="mp_mu", input={"c": 0}, expected=1.0)], "fixture 'x'.*mp_mu"),
         ([_record(op="flip_trace", input={"d": 2.5}, expected=2.5, provenance="trivial")],
          "fixture 'x'.*InvalidDims"),
+        # a re_im record the one reader rejects (a short list once exited with
+        # an unnamed numpy error; a float side or d_i was once truncated)
+        ([_fidelity(rho={"side": 2, "re_im": [[1.0, 0.0]]})], "fixture 'x'.*InvalidDims"),
+        ([_fidelity(rho={"side": 1, "re_im": [[1.0, 0.0, 0.0]]})], "fixture 'x'.*InvalidDims"),
+        ([_fidelity(rho={"side": 1, "re_im": 1.0})], "fixture 'x'.*InvalidDims"),
+        ([_fidelity(rho={"side": 1, "re_im": [["1.0", 0.0]]})], "fixture 'x'.*InvalidDims"),
+        ([_fidelity(rho={"side": 1, "re_im": [[10**400, 0.0]]})], "fixture 'x'.*InvalidDims"),
+        ([_fidelity(rho=_MIXED_2_7, sigma=_MIXED_2_7)], "fixture 'x'.*InvalidDims"),
+        ([_record(op="kraus_roundtrip_dev", expected=0.0,
+                  input={"choi": {"d_i": 1.9, "d_o": 2, "re_im": [[0.5, 0.0], [0.0, 0.0],
+                                                                  [0.0, 0.0], [0.5, 0.0]]}})],
+         "fixture 'x'.*InvalidDims"),
+        ([_record(op="eps_dep", input={"d_i": 2.5, "d_o": 2, "d_e": 1}, expected=5.0)],
+         "fixture 'x'.*DomainError"),
+        ([_record(tol=True)], "fixture 'x'.*tol"),
     ], ids=["missing-input-key", "unexpected-input-key", "input-not-object",
             "tol-not-number", "record-not-object", "file-not-list",
             "matrix-missing-side", "choi-missing-field", "expected-not-number",
             "expected-wrong-shape", "avg-purity-outside-shapes", "eps-dep-outside-shapes",
             "eps-avg-ue-outside-shapes", "eps-app-bounds-outside-shapes", "mp-mu-domain",
-            "flip-trace-float-dimension"])
+            "flip-trace-float-dimension", "re-im-short", "re-im-three-number-pair",
+            "re-im-not-list", "re-im-string-entry", "re-im-int-overflow", "side-float", "choi-d-i-float",
+            "eps-dep-d-i-float", "tol-bool"])
     def test_malformed_file_names_the_record(self, tmp_path, records, match):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(records))
