@@ -78,14 +78,17 @@ class TestSchemaEnforcement:
         ([_record(op="eps_dep", input={"d_i": 2.5, "d_o": 2, "d_e": 1}, expected=5.0)],
          "fixture 'x'.*DomainError"),
         ([_record(tol=True)], "fixture 'x'.*tol"),
+        # a complex expected value with one pair once broadcast against a matrix
+        ([_record(op="depolarizing_choi", input={"d_i": 1, "d_o": 2},
+                  expected={"re_im": [[0.5, 0.0]]})], "fixture 'x'.*bad expected value"),
     ], ids=["missing-input-key", "unexpected-input-key", "input-not-object",
             "tol-not-number", "record-not-object", "file-not-list",
             "matrix-missing-side", "choi-missing-field", "expected-not-number",
             "expected-wrong-shape", "avg-purity-outside-shapes", "eps-dep-outside-shapes",
             "eps-avg-ue-outside-shapes", "eps-app-bounds-outside-shapes", "mp-mu-domain",
             "flip-trace-float-dimension", "re-im-short", "re-im-three-number-pair",
-            "re-im-not-list", "re-im-string-entry", "re-im-int-overflow", "side-float", "choi-d-i-float",
-            "eps-dep-d-i-float", "tol-bool"])
+            "re-im-not-list", "re-im-string-entry", "re-im-int-overflow", "side-float",
+            "choi-d-i-float", "eps-dep-d-i-float", "tol-bool", "expected-re-im-short"])
     def test_malformed_file_names_the_record(self, tmp_path, records, match):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(records))
