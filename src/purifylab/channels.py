@@ -75,6 +75,14 @@ def _value_eq(a, b) -> bool:
     )
 
 
+def _set_dims(record, *names: str) -> None:
+    """Store the record's fields ``names`` as read by ``_integers``, each >= 1."""
+    what = f"{type(record).__name__} {', '.join(names)}"
+    dims = _integers((getattr(record, n) for n in names), what, low=1)
+    for name, value in zip(names, dims):
+        object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class ChoiOperator:
     """Unnormalized Choi matrix of a channel, acting on H_I x H_O."""
@@ -84,6 +92,7 @@ class ChoiOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        _set_dims(self, "d_i", "d_o")
         side = self.d_i * self.d_o
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (side, side):
@@ -132,6 +141,7 @@ class PurificationVector:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
+        _set_dims(self, "d_i", "d_o", "d_e")
         v = _complex_vector(self.vector)
         if v.size != self.d_i * self.d_o * self.d_e:
             raise InvalidDims(
@@ -177,6 +187,7 @@ class KrausSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        _set_dims(self, "d_i", "d_o")
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
         for k in ops:
             if k.shape != (self.d_o, self.d_i):
@@ -185,6 +196,8 @@ class KrausSet:
                     f"({self.d_o}, {self.d_i})"
                 )
         object.__setattr__(self, "operators", ops)
+
+    __eq__ = _value_eq
 
     def validate(self) -> "KrausSet":
         acc = sum(dagger(k) @ k for k in self.operators)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .channels import ChoiOperator, PurificationVector, choi_vector
 from .errors import DomainError, InvalidDims, SingularNormalizer
-from .linalg import complete_elliptic, dagger, herm_eig, partial_trace
+from .linalg import _integers, _shape, complete_elliptic, dagger, herm_eig, partial_trace
 
 __all__ = [
     "EnsembleSpec",
@@ -78,19 +78,11 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # NumPy integers are kept as their Python ints; a float or a string
-        # fails here, not with a TypeError at the first draw
-        for name in ("d_i", "d_o", "d_e", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidDims(f"{name} must be an integer, got {value!r}") from None
-        if self.d_i < 1 or self.d_o < 2 or self.d_e < 1:
-            raise InvalidDims(
-                f"need d_i >= 1, d_o >= 2, d_e >= 1, got "
-                f"({self.d_i}, {self.d_o}, {self.d_e})"
-            )
+        # NumPy integers are kept as Python ints; a bool, float or string fails here
+        dims = _shape(self.d_i, self.d_o, self.d_e)
+        seed = _integers((self.seed,), "seed", low=-math.inf)
+        for name, value in zip(("d_i", "d_o", "d_e", "seed"), (*dims, *seed)):
+            object.__setattr__(self, name, value)
         if self.d_o * self.d_e < self.d_i:
             raise InvalidDims("no isometry exists: d_o * d_e < d_i")
 
@@ -101,7 +93,7 @@ class EnsembleSpec:
     def stream(self, index: int, purpose: int = PURPOSE_SAMPLE) -> "RandomStream":
         """Counter-based substream for sample ``index`` of a given purpose:
         :meth:`streams` over the range of one sample."""
-        index = operator.index(index)
+        (index,) = _integers((index,), "sample index")
         return next(self.streams(index, index + 1, purpose))
 
     def streams(self, lo: int, hi: int, purpose: int = PURPOSE_SAMPLE):
@@ -114,12 +106,10 @@ class EnsembleSpec:
         stream is returned.  NumPy integers are taken as Python ints first,
         so the key arithmetic cannot wrap in a fixed-width dtype.
         """
-        lo, hi, purpose = operator.index(lo), operator.index(hi), operator.index(purpose)
-        if not (0 <= lo <= hi <= 1 << 48 and 0 <= purpose < 1 << 16):
-            raise InvalidDims(
-                f"streams need sample indices in [0, 2^48) and a purpose in "
-                f"[0, 2^16), got indices [{lo}, {hi}), purpose {purpose}"
-            )
+        lo, hi, purpose = _integers((lo, hi, purpose), "stream lo, hi and purpose")
+        if not (lo <= hi <= 1 << 48 and purpose < 1 << 16):
+            raise InvalidDims(f"streams need sample indices in [0, 2^48) and a purpose in "
+                              f"[0, 2^16), got indices [{lo}, {hi}), purpose {purpose}")
         base = purpose << 48
         return map(partial(RandomStream, self.seed), range(base + lo, base + hi))
 

@@ -64,17 +64,36 @@ def _check_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def _integers(values: Iterable, what: str, low: int = 0) -> list[int]:
-    """``values`` as Python ints (NumPy integers accepted), each >= ``low``,
-    or :class:`InvalidDims`: a float dimension or index is never truncated."""
+def _integers(values: Iterable, what: str, low=0, error: type = InvalidDims) -> list[int]:
+    """``values`` as Python ints, each >= ``low``, or ``error`` naming ``what``:
+    the package's one integer rule.  Python and NumPy integers pass; a bool,
+    a float (2.0 and NaN too), a string or None fails, so no dimension,
+    count, index or seed is truncated or read from a flag."""
     values = list(values)
     try:
+        if {bool, np.bool_} & set(map(type, values)):
+            raise TypeError
         out = [operator.index(v) for v in values]
     except TypeError:
-        raise InvalidDims(f"{what} must be integers, got {values}") from None
-    if any(v < low for v in out):
-        raise InvalidDims(f"{what} {out} must each be >= {low}")
+        raise error(f"{what} must be integers, got {values}") from None
+    if min(out, default=low) < low:
+        raise error(f"{what} must be >= {low}, got {out}")
     return out
+
+
+def _shape(d_i, d_o, d_e, error: type = InvalidDims) -> tuple[int, int, int]:
+    """(d_i, d_o, d_e) as Python ints, or ``error``: the one shape rule,
+    integers d_i >= 1, d_o >= 2, d_e >= 1, the shapes of ``EnsembleSpec``
+    (which adds d_o d_e >= d_i) and of the closed forms in ``theory``."""
+    dims = (d_i, d_o, d_e)
+    try:
+        d_i, d_o, d_e = _integers(dims, "(d_i, d_o, d_e)", error=error)
+        ok = d_i >= 1 and d_o >= 2 and d_e >= 1
+    except error:  # not integers, or negative
+        ok = False
+    if not ok:
+        raise error(f"need integers d_i >= 1, d_o >= 2, d_e >= 1, got {dims}")
+    return d_i, d_o, d_e
 
 
 def partial_trace(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -56,7 +55,7 @@ from .ensembles import (
     sample_ginibre,  # noqa: F401  perfbench/tests/check_tracer.py wraps this binding
 )
 from .errors import EnvironmentTooSmall, InvalidDims, TooLarge
-from .linalg import _psd_eigvalsh, _purities, _require_hermitian, _require_norm
+from .linalg import _integers, _psd_eigvalsh, _purities, _require_hermitian, _require_norm
 from .linalg import (
     dagger,
     flip_operator,
@@ -352,8 +351,7 @@ def orbit_bruteforce(
     """
     if v.d_e > 2:
         raise TooLarge("brute-force grid supports d_e <= 2 only")
-    if resolution < 1:
-        raise InvalidDims(f"grid resolution {resolution} is below 1")
+    (resolution,) = _integers((resolution,), "grid resolution", low=1)
     q = _orbit_inputs(q_out, v)
     q_purity = _purities(q[None])[0]
     vmat = v.as_matrix()
@@ -408,7 +406,7 @@ def _hold_heap() -> bool:
 def _chunk_map(fn, n: int, workers: int):
     """Yield ``fn(lo, hi)`` for consecutive chunks of [0, n), in index order.
 
-    ``workers`` must be an integer >= 1 (NumPy integers included), or
+    ``workers`` must be an integer >= 1 by ``linalg._integers``, or
     ``InvalidDims`` is raised before any chunk is drawn.  With more than one
     worker and more than one chunk the calls run in one process pool of the
     class bound to ``ProcessPoolExecutor`` here, read when the pool opens, so
@@ -417,12 +415,7 @@ def _chunk_map(fn, n: int, workers: int):
     still arrive in index order, so any reduction over them is identical for
     every worker count.
     """
-    try:
-        workers = operator.index(workers)
-    except TypeError:
-        raise InvalidDims(f"workers must be an integer, got {workers!r}") from None
-    if workers < 1:
-        raise InvalidDims(f"workers must be >= 1, got {workers}")
+    (workers,) = _integers((workers,), "workers", low=1)
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     if workers <= 1 or len(bounds) == 1:
         for lo, hi in bounds:
@@ -437,8 +430,7 @@ def _reduce(chunk_fn, n: int, workers: int):
     """The rows ``chunk_fn`` returns for [0, n) in index order, their mean
     over axis 0 and its standard error sqrt(var / n), read as exactly 0 where
     the variance is below ``ZERO_VARIANCE`` (constant up to rounding)."""
-    if n < 2:
-        raise InvalidDims("Monte Carlo estimation needs n >= 2")
+    (n,) = _integers((n,), "Monte Carlo sample count n", low=2)
     rows = np.concatenate(list(_chunk_map(chunk_fn, n, workers)))
     var = np.var(rows, axis=0, ddof=1)
     stderr = np.where(var < ZERO_VARIANCE, 0.0, np.sqrt(var / n))
@@ -633,8 +625,7 @@ def second_moment_operator(
     side = spec.d_i * spec.d_o * spec.d_e
     if side > 64:
         raise TooLarge("two-copy operator needs d_i * d_o * d_e <= 64")
-    if n < 1:
-        raise InvalidDims("two-copy average needs n >= 1")
+    (n,) = _integers((n,), "two-copy sample count n", low=1)
     kept, full = _symmetric_pairs(side)
     rows, cols = np.divmod(kept, side)
     parts = _chunk_map(partial(_second_moment_chunk, spec, rows, cols), n, workers)

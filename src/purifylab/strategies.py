@@ -36,7 +36,7 @@ from .ensembles import (
     sample_haar_unitary,
 )
 from .errors import InvalidDims, InvalidWeights
-from .linalg import _purities, _require_norm, _require_psd
+from .linalg import _integers, _purities, _require_norm, _require_psd
 from .linalg import floor_eigenvalues, psd_factor, uhlmann_overlap
 
 __all__ = [
@@ -265,8 +265,7 @@ def tomography_estimate(
     r = s.shape[1]
     if k is None:
         return PurificationVector(c.d_i, c.d_o, r, s.reshape(-1))
-    if k < 1:
-        raise InvalidDims("copy budget k must be >= 1")
+    (k,) = _integers((k,), "copy budget k", low=1)
 
     psi = (s @ sample_haar_unitary(r, rng).T).reshape(-1) / math.sqrt(c.d_i)
     dim = psi.size

@@ -9,12 +9,12 @@ asymptotics silently.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import DomainError
+from .linalg import _integers, _shape
 
 __all__ = [
     "avg_purity",
@@ -31,19 +31,6 @@ __all__ = [
 ]
 
 
-def _require_shape(d_i, d_o, d_e) -> None:
-    """:class:`DomainError` outside ``EnsembleSpec``'s shapes, integers d_i >= 1,
-    d_o >= 2, d_e >= 1, where the closed forms divide by zero or describe no
-    channel; 2.5 and NaN fail it."""
-    try:
-        d_i, d_o, d_e = map(operator.index, (d_i, d_o, d_e))
-        ok = d_i >= 1 and d_o >= 2 and d_e >= 1
-    except TypeError:  # not an integer
-        ok = False
-    if not ok:
-        raise DomainError(f"need d_i >= 1, d_o >= 2, d_e >= 1, got ({d_i}, {d_o}, {d_e})")
-
-
 def avg_purity(d_i: int, d_o: int, d_e: int) -> float:
     """Ensemble average of tr(C^2) for Haar-Stinespring random channels.
 
@@ -51,7 +38,7 @@ def avg_purity(d_i: int, d_o: int, d_e: int) -> float:
     (d_i d_o (d_e^2 - 1) + d_i^2 d_e (d_o^2 - 1)) / (d_o^2 d_e^2 - 1),
     which decreases monotonically in d_e from d_i^2 down to d_i / d_o.
     """
-    _require_shape(d_i, d_o, d_e)
+    d_i, d_o, d_e = _shape(d_i, d_o, d_e, DomainError)
     num = d_i * d_o * (d_e**2 - 1) + d_i**2 * d_e * (d_o**2 - 1)
     den = d_o**2 * d_e**2 - 1
     return num / den
@@ -59,7 +46,7 @@ def avg_purity(d_i: int, d_o: int, d_e: int) -> float:
 
 def eps_dep(d_i: int, d_o: int, d_e: int) -> float:
     """Exact error of the map-to-depolarizing strategy: d_i^2 - d_i/(d_o d_e)."""
-    _require_shape(d_i, d_o, d_e)
+    d_i, d_o, d_e = _shape(d_i, d_o, d_e, DomainError)
     return d_i**2 - d_i / (d_o * d_e)
 
 
@@ -132,8 +119,8 @@ def eps_tomo_bound(
         raise DomainError("delta must lie in (0, 1)")
     if not kappa > 0.0:
         raise DomainError("kappa must be positive")
-    if not k >= 1:
-        raise DomainError("copy budget k must be >= 1")
+    d_i, d_o, d_e = _shape(d_i, d_o, d_e, DomainError)
+    (k,) = _integers((k,), "copy budget k", low=1, error=DomainError)
     r = min(d_e, d_i * d_o)
     rate = kappa * (d_i * d_o * r + math.log(1.0 / delta)) / k
     return 2.0 * d_i**2 * (min(1.0, rate) + delta)
@@ -180,7 +167,6 @@ def sqrt_moment_asymptote(d_i: int, d_o: int, d_e: int) -> float:
     """
     from .ensembles import mp_mu
 
-    if not d_e >= 1:
-        raise DomainError(f"environment dimension d_e must be >= 1, got {d_e}")
+    d_i, d_o, d_e = _shape(d_i, d_o, d_e, DomainError)
     c = d_i * d_o / d_e
     return d_i**2 * d_o * mp_mu(c) ** 2

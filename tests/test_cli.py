@@ -33,6 +33,18 @@ class TestValidate:
         assert lines[0] == "check,expected,observed,tolerance,status"
         assert all(ln.endswith("pass") for ln in lines[1:])
 
+    def test_input_wider_than_output_skips_separable_pure(self, tmp_path, capsys):
+        # no isometry embeds I in O at d_i > d_o, so only an explicit
+        # separable-pure check is an error there
+        out = tmp_path / "wide.csv"
+        argv = ["validate", "--di", "3", "--do", "2", "--de", "2", "--n", "20"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in body_lines(out)[1:]]
+        assert [r[0] for r in rows] == ["purity", "dep-constant", "avg-ue", "moment-identity"]
+        assert all(r[-1] == "pass" for r in rows)
+        assert run_cli(argv + ["--check", "separable-pure"]) == 2
+        assert "embedding isometry needs d_o >= d_i" in capsys.readouterr().err
+
     def test_dep_zero_variance_check(self, tmp_path):
         out = tmp_path / "dep.csv"
         code = run_cli([

@@ -78,6 +78,10 @@ class TestSchemaEnforcement:
         ([_record(op="eps_dep", input={"d_i": 2.5, "d_o": 2, "d_e": 1}, expected=5.0)],
          "fixture 'x'.*DomainError"),
         ([_record(tol=True)], "fixture 'x'.*tol"),
+        # a JSON true is not the integer 1 (once read as d_i = 1 and side = 1)
+        ([_record(op="eps_dep", input={"d_i": True, "d_o": 2, "d_e": 2}, expected=0.75)],
+         "fixture 'x'.*DomainError"),
+        ([_fidelity(rho={"side": True, "re_im": [[1.0, 0.0]]})], "fixture 'x'.*InvalidDims"),
         # a complex expected value with one pair once broadcast against a matrix
         ([_record(op="depolarizing_choi", input={"d_i": 1, "d_o": 2},
                   expected={"re_im": [[0.5, 0.0]]})], "fixture 'x'.*bad expected value"),
@@ -88,7 +92,8 @@ class TestSchemaEnforcement:
             "eps-avg-ue-outside-shapes", "eps-app-bounds-outside-shapes", "mp-mu-domain",
             "flip-trace-float-dimension", "re-im-short", "re-im-three-number-pair",
             "re-im-not-list", "re-im-string-entry", "re-im-int-overflow", "side-float",
-            "choi-d-i-float", "eps-dep-d-i-float", "tol-bool", "expected-re-im-short"])
+            "choi-d-i-float", "eps-dep-d-i-float", "tol-bool", "eps-dep-d-i-bool",
+            "side-bool", "expected-re-im-short"])
     def test_malformed_file_names_the_record(self, tmp_path, records, match):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(records))
