@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EnvironmentTooSmall, InvalidDims, NotTracePreserving, NotUnitary
-from .linalg import _integers, _psd_eigvalsh, _purities, _require_identity, _require_norm
-from .linalg import dagger, partial_trace, psd_factor
+from .linalg import _array, _integers, _psd_eigvalsh, _purities, _require_identity
+from .linalg import _require_norm, dagger, partial_trace, psd_factor
 
 __all__ = [
     "ChoiOperator",
@@ -36,10 +36,6 @@ __all__ = [
     "identity_isometry_purification",
     "separable_purification",
 ]
-
-
-def _complex_vector(v) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(-1)
 
 
 def _re_im(a: np.ndarray) -> list:  # JSON form: [re, im] pairs, row-major
@@ -94,12 +90,7 @@ class ChoiOperator:
     def __post_init__(self) -> None:
         _set_dims(self, "d_i", "d_o")
         side = self.d_i * self.d_o
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (side, side):
-            raise InvalidDims(
-                f"Choi matrix shape {m.shape} does not match dims "
-                f"({self.d_i}, {self.d_o})"
-            )
+        m = _array(self.matrix, (side, side), "ChoiOperator matrix")
         object.__setattr__(self, "matrix", m)
 
     __eq__ = _value_eq
@@ -142,12 +133,8 @@ class PurificationVector:
 
     def __post_init__(self) -> None:
         _set_dims(self, "d_i", "d_o", "d_e")
-        v = _complex_vector(self.vector)
-        if v.size != self.d_i * self.d_o * self.d_e:
-            raise InvalidDims(
-                f"vector length {v.size} does not match dims "
-                f"({self.d_i}, {self.d_o}, {self.d_e})"
-            )
+        size = self.d_i * self.d_o * self.d_e
+        v = _array(np.asarray(self.vector).ravel(), (size,), "PurificationVector vector")
         object.__setattr__(self, "vector", v)
 
     __eq__ = _value_eq  # so a PureOutput compares through its w
@@ -188,13 +175,8 @@ class KrausSet:
 
     def __post_init__(self) -> None:
         _set_dims(self, "d_i", "d_o")
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        for k in ops:
-            if k.shape != (self.d_o, self.d_i):
-                raise InvalidDims(
-                    f"Kraus operator shape {k.shape}, expected "
-                    f"({self.d_o}, {self.d_i})"
-                )
+        shape = (self.d_o, self.d_i)
+        ops = tuple(_array(k, shape, "KrausSet operator") for k in self.operators)
         object.__setattr__(self, "operators", ops)
 
     __eq__ = _value_eq
@@ -240,6 +222,7 @@ def stinespring_from_choi(c: ChoiOperator, d_e: int) -> PurificationVector:
     basis, padded with zeros, so the output is a deterministic representative
     of the unitary orbit of purifications.
     """
+    (d_e,) = _integers((d_e,), "environment size d_e", low=1)
     s = psd_factor(c.matrix)
     r = s.shape[1]
     if d_e < r:
@@ -251,9 +234,7 @@ def stinespring_from_choi(c: ChoiOperator, d_e: int) -> PurificationVector:
 
 def apply_env_unitary(v: PurificationVector, u: np.ndarray) -> PurificationVector:
     """Act with a unitary on the environment: the marginal channel is unchanged."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (v.d_e, v.d_e):
-        raise InvalidDims(f"unitary shape {u.shape}, expected ({v.d_e}, {v.d_e})")
+    u = _array(u, (v.d_e, v.d_e), "environment unitary u")
     _require_identity(dagger(u) @ u, NotUnitary, "environment operator U†U")
     rotated = v.as_matrix() @ u.T
     return PurificationVector(v.d_i, v.d_o, v.d_e, rotated.reshape(-1))
@@ -261,6 +242,7 @@ def apply_env_unitary(v: PurificationVector, u: np.ndarray) -> PurificationVecto
 
 def embed_env(v: PurificationVector, d_e_new: int) -> PurificationVector:
     """Isometrically enlarge the environment by zero-padding extra dimensions."""
+    (d_e_new,) = _integers((d_e_new,), "environment size d_e_new", low=1)
     if d_e_new < v.d_e:
         raise EnvironmentTooSmall("cannot shrink the environment by embedding")
     mat = np.zeros((v.d_i * v.d_o, d_e_new), dtype=complex)
@@ -270,6 +252,7 @@ def embed_env(v: PurificationVector, d_e_new: int) -> PurificationVector:
 
 def depolarizing_choi(d_i: int, d_o: int) -> ChoiOperator:
     """Choi operator 1 / d_o of the fully depolarizing channel."""
+    d_i, d_o = _integers((d_i, d_o), "(d_i, d_o)", low=1)
     side = d_i * d_o
     return ChoiOperator(d_i, d_o, np.eye(side) / d_o)
 
@@ -277,6 +260,7 @@ def depolarizing_choi(d_i: int, d_o: int) -> ChoiOperator:
 def max_entangled_purification(d_i: int, d_o: int) -> PurificationVector:
     """Purification of the fully depolarizing channel, maximally entangled
     across the (system pair) | environment cut; environment size d_i * d_o."""
+    d_i, d_o = _integers((d_i, d_o), "(d_i, d_o)", low=1)
     side = d_i * d_o
     vec = np.zeros((side, side), dtype=complex)
     np.fill_diagonal(vec, 1.0 / np.sqrt(d_o))
@@ -285,13 +269,10 @@ def max_entangled_purification(d_i: int, d_o: int) -> PurificationVector:
 
 def identity_isometry_purification(d_i: int, d_o: int) -> PurificationVector:
     """Choi vector of the canonical embedding isometry |i> -> |i> (d_o >= d_i)."""
+    d_i, d_o = _integers((d_i, d_o), "(d_i, d_o)", low=1)
     if d_o < d_i:
         raise InvalidDims("embedding isometry needs d_o >= d_i")
-    k = np.zeros((d_o, d_i), dtype=complex)
-    for i in range(d_i):
-        k[i, i] = 1.0
-    vec = choi_vector(k)
-    return PurificationVector(d_i, d_o, 1, vec)
+    return PurificationVector(d_i, d_o, 1, choi_vector(np.eye(d_o, d_i)))
 
 
 def separable_purification(
@@ -305,7 +286,7 @@ def separable_purification(
     """
     if upsilon.d_e != 1:
         raise InvalidDims("separable purification needs an isometric (d_e = 1) core")
-    psi = _complex_vector(psi)
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
     _require_norm(np.vdot(psi, psi).real, 1.0, "squared norm of psi")
     vec = np.kron(upsilon.vector, psi)
     return PurificationVector(upsilon.d_i, upsilon.d_o, psi.size, vec)

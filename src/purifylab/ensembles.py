@@ -362,8 +362,8 @@ def sample_wishart_choi(spec: EnsembleSpec, rs: RandomStream | np.random.Generat
 
 def mp_support(c: float) -> tuple[float, float]:
     """Support edges ((1 - sqrt(c))^2, (1 + sqrt(c))^2) of the bulk."""
-    if not c > 0:
-        raise DomainError("aspect ratio c must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError(f"aspect ratio c must be finite and positive, got {c}")
     s = math.sqrt(c)
     return (1.0 - s) ** 2, (1.0 + s) ** 2
 
@@ -387,8 +387,8 @@ def mp_density(c: float, x) -> np.ndarray | float:
 
 def mp_atom(c: float) -> float:
     """Weight of the point mass at zero: (1 - 1/c)+."""
-    if not c > 0:
-        raise DomainError("aspect ratio c must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError(f"aspect ratio c must be finite and positive, got {c}")
     return max(0.0, 1.0 - 1.0 / c)
 
 

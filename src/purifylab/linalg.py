@@ -64,6 +64,16 @@ def _check_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
+def _array(a, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``a`` as a complex array of ``shape``, or :class:`InvalidDims` naming
+    ``what``, the shape it has and the shape it should have: the one array
+    rule behind every matrix and vector a caller hands in."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != shape:
+        raise InvalidDims(f"{what} has shape {a.shape}, expected {shape}")
+    return a
+
+
 def _integers(values: Iterable, what: str, low=0, error: type = InvalidDims) -> list[int]:
     """``values`` as Python ints, each >= ``low``, or ``error`` naming ``what``:
     the package's one integer rule.  Python and NumPy integers pass; a bool,
@@ -232,8 +242,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     ``uhlmann_overlap`` on sigma's PSD factor.  Both inputs must be unit-trace
     PSD matrices of the same size."""
     _psd_eigvalsh(rho)
-    if rho.shape != sigma.shape:
-        raise InvalidDims("fidelity arguments must have equal shape")
+    sigma = _array(sigma, rho.shape, "fidelity sigma")
     s = psd_factor(sigma)
     for name, op in (("rho", rho), ("sigma", sigma)):
         _require_norm(np.trace(op), 1.0, f"trace of {name}")

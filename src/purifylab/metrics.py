@@ -57,6 +57,7 @@ from .ensembles import (
 from .errors import EnvironmentTooSmall, InvalidDims, TooLarge
 from .linalg import _integers, _psd_eigvalsh, _purities, _require_hermitian, _require_norm
 from .linalg import (
+    _array,
     dagger,
     flip_operator,
     floor_eigenvalues,
@@ -302,10 +303,8 @@ def _ascend(
 def _orbit_inputs(q_out: np.ndarray, v: PurificationVector) -> np.ndarray:
     """Q as a complex array, after the checks both orbit routes make: Q is
     PSD, square on I O E and of trace d_i, and v is a valid purification."""
-    q = np.asarray(q_out, dtype=complex)
     side = v.d_i * v.d_o * v.d_e
-    if q.shape != (side, side):
-        raise InvalidDims(f"machine output shape {q.shape}, expected {(side, side)}")
+    q = _array(q_out, (side, side), "machine output q_out")
     _psd_eigvalsh(q)
     v.validate()
     _require_norm(np.trace(q).real, v.d_i, "trace of Q")

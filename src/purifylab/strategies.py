@@ -221,12 +221,12 @@ class Estimation:
 def optimal_append_spectrum(weights) -> np.ndarray:
     """Error-minimizing spectrum of the appended state: lambda = w / sum(w).
 
-    ``weights`` are the ordered second moments w_i = E[c_i^2], non-negative
-    and non-increasing; their sum is the average purity E[tr C^2].
+    ``weights`` are the ordered second moments w_i = E[c_i^2], finite,
+    non-negative and non-increasing; their sum is the average purity E[tr C^2].
     """
     w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w < 0) or not w.sum() > 0:
-        raise InvalidWeights("weights must be non-negative with a positive sum")
+    if w.size == 0 or np.any(w < 0) or not 0 < w.sum() < math.inf:
+        raise InvalidWeights("weights must be finite and non-negative with sum > 0")
     if np.any(np.diff(w) > 1e-12 * max(w.max(), 1.0)):
         raise InvalidWeights("weights must be non-increasing")
     return w / w.sum()

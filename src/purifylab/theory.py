@@ -65,6 +65,7 @@ def eps_pure(d_i: int, d_o: int, moment_tr_sqrt_sq: float) -> float:
     The spectral moment E[(tr sqrt C)^2] has no finite-size closed form and
     must be estimated by Monte Carlo; at d_e = 1 it is exactly d_i.
     """
+    d_i, d_o, _ = _shape(d_i, d_o, 1, DomainError)
     return 2.0 * d_i**2 - (2.0 / d_o) * moment_tr_sqrt_sq
 
 
@@ -74,6 +75,7 @@ def eps_separable_pure_output(d_i: int, d_o: int) -> float:
     The same value is the error of every pure output against isometric
     inputs (d_e = 1).
     """
+    d_i, d_o, _ = _shape(d_i, d_o, 1, DomainError)
     return 2.0 * (d_i**2 - d_i / d_o)
 
 

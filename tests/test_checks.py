@@ -365,3 +365,36 @@ class TestClosedFormAgreement:
         argv = ["validate", "--check", "avg-ue", "--n", "50", "--out", str(out)]
         assert main(argv) == 1
         assert out.read_text().rstrip().endswith(",FAIL")
+
+
+# site -> (call of the array under test, an array of the right shape, one of a
+# wrong shape, the name its message must hold); one table for the array rule
+HALF = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+ARRAY_SITES = {
+    "choi": (lambda a: ChoiOperator(1, 2, a), HALF, np.eye(3), "matrix"),
+    "purification": (lambda a: channels.PurificationVector(1, 2, 1, a),
+                     np.array([0.6, 0.8j]), np.ones(3), "vector"),
+    "kraus": (lambda a: KrausSet(1, 2, (a,)), np.array([[1.0], [0.0]]), np.eye(2),
+              "operator"),
+    "env-unitary": (lambda a: apply_env_unitary(max_entangled_purification(1, 2), a),
+                    np.array([[0.0, 1j], [1j, 0.0]]), np.eye(3), "unitary"),
+    "orbit-input": (lambda a: orbit_bruteforce(a, identity_isometry_purification(1, 2)),
+                    np.diag([0.75, 0.25]), np.eye(3) / 3, "machine output"),
+    "fidelity": (lambda a: linalg.fidelity(np.eye(2) / 2, a), HALF, np.eye(3) / 3,
+                 "sigma"),
+}
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+class TestArrayRule:
+    def test_wrong_shape_names_argument_and_shapes(self, site):
+        call, good, bad, name = ARRAY_SITES[site]
+        with pytest.raises(InvalidDims) as info:
+            call(bad)
+        message = str(info.value)
+        assert name in message
+        assert str(bad.shape) in message and str(good.shape) in message
+
+    def test_nested_list_stores_the_same_bits(self, site):
+        call, good, _, _ = ARRAY_SITES[site]
+        assert call(good.tolist()) == call(good)

@@ -768,6 +768,20 @@ class TestMarchenkoPastur:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ensembles.mp_support(math.inf),
+            lambda: ensembles.mp_atom(math.inf),
+            lambda: ensembles.mp_cdf(math.inf, 1.0),
+        ],
+        ids=["support", "atom", "cdf"],
+    )
+    def test_infinite_aspect_ratio_raises(self, call):
+        # used to give (inf, inf), 1.0 and a warned NaN
+        with pytest.raises(DomainError):
+            call()
+
     def test_mu_domain(self):
         with pytest.raises(DomainError):
             ensembles.mp_mu(0.0)

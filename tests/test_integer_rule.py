@@ -9,7 +9,8 @@ import pytest
 
 from purifylab import theory
 from purifylab.channels import ChoiOperator, KrausSet, PurificationVector
-from purifylab.channels import depolarizing_choi, max_entangled_purification
+from purifylab.channels import depolarizing_choi, embed_env, identity_isometry_purification
+from purifylab.channels import max_entangled_purification, stinespring_from_choi
 from purifylab.ensembles import EnsembleSpec
 from purifylab.errors import DomainError, InvalidDims
 from purifylab.metrics import _chunk_map, estimate_average_error, orbit_bruteforce
@@ -59,6 +60,24 @@ ENTRY_POINTS = {
     "avg-purity-shape": (lambda x: theory.avg_purity(x, 2, 2), 2, DomainError, "d_i"),
     "sqrt-moment-shape": (lambda x: theory.sqrt_moment_asymptote(2, x, 8), 2, DomainError,
                           "d_o"),
+    "eps-pure-d_i": (lambda x: theory.eps_pure(x, 2, 1.0), 2, DomainError, "d_i"),
+    "eps-pure-d_o": (lambda x: theory.eps_pure(2, x, 1.0), 3, DomainError, "d_o"),
+    "eps-separable-d_i": (lambda x: theory.eps_separable_pure_output(x, 2), 2, DomainError,
+                          "d_i"),
+    "eps-separable-d_o": (lambda x: theory.eps_separable_pure_output(2, x), 3, DomainError,
+                          "d_o"),
+    "depolarizing-d_i": (lambda x: depolarizing_choi(x, 2), 2, InvalidDims, "d_i"),
+    "depolarizing-d_o": (lambda x: depolarizing_choi(2, x), 3, InvalidDims, "d_o"),
+    "max-entangled-d_i": (lambda x: max_entangled_purification(x, 2), 2, InvalidDims,
+                          "d_i"),
+    "max-entangled-d_o": (lambda x: max_entangled_purification(2, x), 3, InvalidDims,
+                          "d_o"),
+    "identity-isometry-d_i": (lambda x: identity_isometry_purification(x, 2), 2,
+                              InvalidDims, "d_i"),
+    "identity-isometry-d_o": (lambda x: identity_isometry_purification(2, x), 3,
+                              InvalidDims, "d_o"),
+    "stinespring-d_e": (lambda x: stinespring_from_choi(DEP, x), 2, InvalidDims, "d_e"),
+    "embed-env-d_e": (lambda x: embed_env(ORBIT, x), 3, InvalidDims, "d_e_new"),
 }
 BAD_VALUES = {"true": True, "np-true": np.True_, "float": 2.5, "str": "2", "none": None}
 # k = None is tomography's infinite-copy surrogate, not a bad value
@@ -97,3 +116,16 @@ def test_channel_records_store_python_ints(make):
     record = make(np.int64(2))
     ints = [v for v in vars(record).values() if isinstance(v, (int, np.integer))]
     assert ints and all(type(v) is int for v in ints)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: theory.eps_pure(2, 1, 1.0), DomainError),
+    (lambda: theory.eps_separable_pure_output(2, 1), DomainError),
+    (lambda: theory.eps_separable_pure_output(0, 2), DomainError),
+    (lambda: max_entangled_purification(2, 0), InvalidDims),
+    (lambda: stinespring_from_choi(DEP, 0), InvalidDims),
+], ids=["eps-pure-d_o-1", "eps-separable-d_o-1", "eps-separable-d_i-0",
+        "max-entangled-d_o-0", "stinespring-d_e-0"])
+def test_sizes_below_the_floor_are_rejected(call, error):
+    with pytest.raises(error):
+        call()

@@ -146,6 +146,11 @@ class TestOptimalAppendSpectrum:
         with pytest.raises(InvalidWeights):
             optimal_append_spectrum([0.0, 0.0])
 
+    def test_rejects_infinite(self):
+        # used to warn in the divide and return [nan, 0]
+        with pytest.raises(InvalidWeights):
+            optimal_append_spectrum([np.inf, 1.0])
+
 
 class TestTomographyEstimate:
     def test_single_shot_is_valid_vector(self):
