@@ -778,7 +778,6 @@ class TestMarchenkoPastur:
         ids=["support", "atom", "cdf"],
     )
     def test_infinite_aspect_ratio_raises(self, call):
-        # used to give (inf, inf), 1.0 and a warned NaN
         with pytest.raises(DomainError):
             call()
 

@@ -147,7 +147,6 @@ class TestOptimalAppendSpectrum:
             optimal_append_spectrum([0.0, 0.0])
 
     def test_rejects_infinite(self):
-        # used to warn in the divide and return [nan, 0]
         with pytest.raises(InvalidWeights):
             optimal_append_spectrum([np.inf, 1.0])
 
