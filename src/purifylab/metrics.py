@@ -49,6 +49,7 @@ from .ensembles import (
     RandomStream,
     _as_generator,
     _choi_bank,
+    _scratch_rng,
     _vmat_bank,
     haar_unitaries_batch,
     sample_choi,
@@ -409,9 +410,12 @@ def _chunk_map(fn, n: int, workers: int):
     ``InvalidDims`` is raised before any chunk is drawn.  With more than one
     worker and more than one chunk the calls run in one process pool of the
     class bound to ``ProcessPoolExecutor`` here, read when the pool opens, so
-    the first pool of a process also imports the pool machinery.  Its
-    workers hold their heap (``_hold_heap``) under any start method; results
-    still arrive in index order, so any reduction over them is identical for
+    the first pool of a process also imports the pool machinery.  Before it
+    opens, the calling thread's scratch generator is built
+    (``ensembles._scratch_rng``), so forked workers inherit ``numpy.random``
+    instead of each importing it on its first chunk.  Its workers hold
+    their heap (``_hold_heap``) under any start method; results still
+    arrive in index order, so any reduction over them is identical for
     every worker count.
     """
     (workers,) = _integers((workers,), "workers", low=1)
@@ -420,6 +424,7 @@ def _chunk_map(fn, n: int, workers: int):
         for lo, hi in bounds:
             yield fn(lo, hi)
         return
+    _scratch_rng()
     pool_type = sys.modules[__name__].ProcessPoolExecutor
     with pool_type(max_workers=workers, initializer=_hold_heap) as pool:
         yield from pool.map(fn, *zip(*bounds))

@@ -77,9 +77,16 @@ def test_test_reference_exists(path, name):
     assert name in _defined_tests(ROOT / "tests" / path), f"{path}::{name}"
 
 
+# a line that runs one of the benchmark's scripts, whose flags are its own
+PERFBENCH_RUN = re.compile(r"^\s*python3? (-m pytest \S+ )?perfbench/")
+
+
 def readme_flags():
-    """Every `--flag` README.md cites, code blocks included."""
-    return sorted(set(re.findall(FLAG, (ROOT / "README.md").read_text())))
+    """Every `--flag` README.md cites, code blocks included, except on the
+    lines that run a `perfbench/` script."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return sorted(set(re.findall(FLAG, "\n".join(
+        line for line in lines if not PERFBENCH_RUN.match(line)))))
 
 
 def registered_flags():
@@ -96,6 +103,15 @@ def test_readme_flags_seen():
     # the scans must see what the check below compares
     assert {"--config", "--k", "--bins"} <= set(readme_flags())
     assert {"--version", "--check", "--strategies"} <= registered_flags()
+
+
+def test_readme_perfbench_lines_skipped():
+    # the README shows a perfbench command; only its line is left out
+    lines = (ROOT / "README.md").read_text().splitlines()
+    runs = [line for line in lines if PERFBENCH_RUN.match(line)]
+    assert any("perfbench/run.py --workload all" in line for line in runs)
+    assert not PERFBENCH_RUN.match("purifylab validate --n 20  # perfbench/run.py")
+    assert "--workload" not in readme_flags()
 
 
 @pytest.mark.parametrize("flag", readme_flags())

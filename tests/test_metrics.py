@@ -637,6 +637,25 @@ print(metrics.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
 """
 
 
+# A fresh interpreter that opens one pool with numpy.random not yet imported;
+# each chunk reports whether its worker has numpy.random loaded.
+_WARM_FORK_PROBE = """
+import multiprocessing
+import sys
+
+from purifylab import metrics
+
+
+def chunk(lo, hi):
+    return "numpy.random" in sys.modules
+
+
+assert "numpy.random" not in sys.modules
+print(multiprocessing.get_start_method())
+print(*metrics._chunk_map(chunk, 1024, 2))
+"""
+
+
 class TestChunkMapPool:
     @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", None])
     def test_bad_worker_count_rejected_before_drawing(self, workers):
@@ -672,6 +691,38 @@ class TestChunkMapPool:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["-", "True", "True"]
+
+    def test_forked_workers_inherit_numpy_random(self):
+        # the pool path builds the scratch generator before it forks, so a
+        # worker's first chunk does not import numpy.random itself
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _WARM_FORK_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        method, *chunks = proc.stdout.split()
+        if method != "fork":
+            pytest.skip(f"workers start by {method}, not fork, and inherit nothing")
+        assert chunks == ["True", "True"]
+
+    def test_estimation_machine_through_a_pool(self, monkeypatch):
+        # n = 600 is two chunks, so at two workers Estimation.chunk_errors
+        # runs in the pool
+        opened = []
+
+        class CountingPool(metrics_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "ProcessPoolExecutor", CountingPool)
+        spec = EnsembleSpec(1, 2, 2, seed=116)
+        machine = parse_strategy("tomo:k=8", spec)
+        serial = estimate_average_error(machine, spec, 600, workers=1)
+        pooled = estimate_average_error(machine, spec, 600, workers=2)
+        assert opened == [2]
+        assert np.array_equal(serial.per_sample, pooled.per_sample)
+        assert (serial.mean, serial.stderr) == (pooled.mean, pooled.stderr)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
