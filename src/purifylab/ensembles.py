@@ -136,9 +136,9 @@ class RandomStream(NamedTuple):
     the whole Philox state, the key, the zero counter and an empty output
     buffer, on ``into`` (whatever ``into`` drew before) or, without it, on a
     new ``Philox(0)`` generator, whose constant seed reads no OS entropy.
-    The state goes in as this thread's one state dict with the key replaced,
-    not as a new dict per call.  Either way the draws are the same bits
-    (Philox is counter-based; Salmon et al., SC'11).
+    The state goes in as this thread's one state dict with the key
+    replaced.  Either way the draws are the same bits (Philox is
+    counter-based; Salmon et al., SC'11).
     """
 
     seed: int

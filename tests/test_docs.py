@@ -78,7 +78,7 @@ def test_test_reference_exists(path, name):
 
 
 # a line that runs one of the benchmark's scripts, whose flags are its own
-PERFBENCH_RUN = re.compile(r"^\s*python3? (-m pytest \S+ )?perfbench/")
+PERFBENCH_RUN = re.compile(r"^\s*python3? perfbench/")
 
 
 def readme_flags():
